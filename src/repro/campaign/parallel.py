@@ -42,31 +42,37 @@ the failure handling in this module sound:
   leaves no orphans: workers poll for work with a timeout and self-exit
   when they notice they have been reparented.
 
-The merge is order-independent everywhere: per-layer tallies are integer
+Each worker talks to the parent over one private duplex pipe and sends
+one message per completed chunk: its journal record plus one ordered
+envelope list.  Nothing is shared between workers, so a worker killed
+mid-send corrupts only its own pipe, which the parent reads as EOF and
+discards with the worker.  The parent folds every chunk message in one
+place, and that merge is order-independent: per-layer tallies are integer
 sums, per-chunk perf deltas add (:meth:`CampaignPerfCounters.merge` and
 :meth:`MetricsRegistry.merge_snapshot` stay associative and commutative),
-observe events are keyed by plan position (``index``) and stable-sorted
-into serial emission order — which also dedupes the rare double execution
-of a retried chunk, since re-executions are bitwise identical — and worker
-profiler spans become per-pid Chrome-trace lanes (``perf_counter`` reads
-``CLOCK_MONOTONIC``, which is system-wide on Linux, so forked workers
-share the parent's timeline).
+observe events are keyed by plan position (``index``) and emitted in
+serial order, a retried chunk's duplicate completion is dropped whole
+(re-executions are bitwise identical), and worker profiler spans become
+per-pid Chrome-trace lanes (``perf_counter`` reads ``CLOCK_MONOTONIC``,
+which is system-wide on Linux, so forked workers share the parent's
+timeline).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import time
 import traceback
 import warnings
 from collections import deque
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
 
+from ..observe.events import injection_summary
 from ..profile.heartbeat import _finish_progress, coerce_progress
 from . import recovery as recovery_mod
 from .recovery import coerce_policy
@@ -74,11 +80,6 @@ from .runner import CampaignResult
 
 _JOIN_TIMEOUT_S = 30.0
 _POLL_TIMEOUT_S = 1.0
-
-#: Chunk-payload keys that belong in a journal record (observe events and
-#: other bulky telemetry stay out of the journal).
-_JOURNAL_KEYS = ("layer", "positions", "injections", "corruptions", "tallies",
-                 "perf", "trace_events")
 
 
 def partition_chunks(chunks, workers):
@@ -106,19 +107,21 @@ def partition_chunks(chunks, workers):
     return [shard for shard in shards if shard]
 
 
-def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
-                 observe_spec, profile_enabled, record_events):
+def _worker_main(campaign, wid, conn, chunks, plan, observe, record_events):
     """Body of one forked campaign worker.
 
     Runs in the child process over forked (copy-on-write) campaign state:
     the model, pool, and activation cache arrive warm from the parent.
-    Pulls chunk ids from ``in_queue`` one at a time (``None`` is the stop
-    sentinel) and reports per-chunk completion records through
-    ``out_queue`` as soon as each chunk finishes — a worker that dies
-    mid-campaign has already shipped (and, when observing to JSONL,
-    persisted) everything it completed.  A chunk whose execution raises is
-    reported as ``chunk_failed`` and the worker moves on; the parent
-    decides between retry and quarantine.
+    Receives chunk ids one at a time over its private pipe ``conn``
+    (``None`` is the stop sentinel) and answers each completed chunk with
+    exactly one ``("chunk", id, record, envelopes)`` message: ``record``
+    is the chunk's journal record and ``envelopes`` the ordered list its
+    :class:`~repro.telemetry.WorkerTelemetryRelay` collected — bus rows,
+    full observe events, clean-capture counts, profiler spans and metrics.
+    A worker that dies mid-campaign has already shipped everything it
+    completed.  A chunk whose execution raises is reported as
+    ``chunk_failed`` and the worker moves on; the parent decides between
+    retry and quarantine.
     """
     # The parent coordinates shutdown: a terminal Ctrl-C lands on the whole
     # process group, and workers must keep draining their current chunk
@@ -126,125 +129,88 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
+        from ..profile.export import span_records
+        from ..profile.profiler import NULL_PROFILER, Profiler
+        from ..telemetry import WorkerTelemetryRelay
+
         pool_idx, layers, coords, seeds = plan
-        # The parent's telemetry bus forked along with the campaign, but a
-        # copy-on-write clone of its queues goes nowhere.  Replace it with
-        # a relay: publishes buffer in-process and ride home inside each
-        # chunk's completion payload, where the parent republishes them.
-        relay = None
-        if campaign.telemetry is not None:
-            from ..telemetry import WorkerTelemetryRelay
-
-            relay = WorkerTelemetryRelay(wid)
+        # The parent's bus forked along with the campaign, but a
+        # copy-on-write clone of its queues goes nowhere.  The relay
+        # buffers everything this worker reports until the chunk ships.
+        relay = WorkerTelemetryRelay(wid)
         campaign.telemetry = relay
-        if profile_enabled:
-            from ..profile.profiler import Profiler
-
-            campaign.profiler = Profiler()
-        else:
-            from ..profile.profiler import NULL_PROFILER
-
-            campaign.profiler = NULL_PROFILER
-        engine = campaign._resume
-        if engine is not None:
-            engine.profiler = campaign.profiler
-
+        profiling = campaign.profiler.enabled
+        campaign.profiler = Profiler() if profiling else NULL_PROFILER
+        if campaign._resume is not None:
+            campaign._resume.profiler = campaign.profiler
         tracer = None
-        jsonl_sink = False
-        if observe_spec is not None:
-            from ..observe import JsonlEventSink, PropagationTracer
+        if observe:
+            from ..observe import PropagationTracer
 
-            if observe_spec[0] == "jsonl":
-                tracer = PropagationTracer(JsonlEventSink(
-                    Path(observe_spec[1]), flush_every=observe_spec[2]))
-                jsonl_sink = True
-            else:
-                tracer = PropagationTracer()
+            tracer = PropagationTracer()
             tracer.attach(campaign)
-            tracer.begin(campaign, n_injections, emit_header=False)
     except BaseException:
-        out_queue.put(("fatal", wid, traceback.format_exc()))
+        conn.send(("fatal", traceback.format_exc()))
         raise
 
     parent_pid = os.getppid()
     while True:
-        try:
-            task = in_queue.get(timeout=_POLL_TIMEOUT_S)
-        except queue_mod.Empty:
+        if not conn.poll(_POLL_TIMEOUT_S):
             if os.getppid() != parent_pid:
                 # Orphaned: the parent was killed outright (kill -9) and
-                # could not run its shutdown protocol.  Exit hard — nobody
-                # reads out_queue any more, and a clean return would hang
-                # on its feeder thread.  Everything completed so far is
-                # already shipped (and journaled parent-side).
-                os._exit(1)
+                # could not run its shutdown protocol.  Everything
+                # completed so far is already shipped (and journaled).
+                return
             continue
-        if task is None:
-            break
-        chunk_id = int(task)
-        out_queue.put(("start", wid, chunk_id))
-        positions = chunks[chunk_id]
         try:
-            captures_before = tracer.clean_captures if tracer is not None else 0
-            payload = {}
+            cid = conn.recv()
+        except EOFError:
+            return
+        if cid is None:
+            return
+        conn.send(("start", cid))
+        try:
+            records = []
             campaign._execute_plan(
-                [positions], pool_idx, layers, coords, seeds,
+                [chunks[cid]], pool_idx, layers, coords, seeds,
                 observer=tracer,
                 events={} if record_events else None,
-                on_progress=lambda k: out_queue.put(("progress", wid, k)),
-                on_chunk=lambda cid, info: payload.update(info),
-                chunk_ids=[chunk_id])
-            if tracer is not None:
-                events = tracer.take_events(positions)
-                if jsonl_sink:
-                    for event in events:
-                        tracer.sink.emit(event)
-                    tracer.sink.flush()
-                else:
-                    payload["observe_events"] = events
-                payload["clean_captures"] = int(
-                    tracer.clean_captures - captures_before)
-            if relay is not None:
-                payload["telemetry"] = relay.take()
-            out_queue.put(("chunk", wid, chunk_id, payload))
+                on_chunk=lambda _, info: records.append(info),
+                chunk_ids=[cid])
+            if tracer is not None and tracer.clean_captures:
+                relay.publish("observe", "captures", tracer.clean_captures)
+            if profiling:
+                relay.publish("profile", "spans", span_records(campaign.profiler))
+                relay.publish("profile", "metrics",
+                              campaign.profiler.metrics.snapshot())
+            conn.send(("chunk", cid, records[0], relay.take()))
         except BaseException:
-            if relay is not None:
-                relay.take()  # drop the failed attempt's partial events
-            out_queue.put(("chunk_failed", wid, chunk_id,
-                           traceback.format_exc()))
-
-    metrics_snapshot = None
-    spans = None
-    if profile_enabled:
-        from ..profile.export import span_records
-
-        metrics_snapshot = campaign.profiler.metrics.snapshot()
-        spans = span_records(campaign.profiler)
-    if tracer is not None:
-        tracer.detach()
-        tracer.close()
-    out_queue.put(("done", wid, {
-        "pid": os.getpid(),
-        "metrics": metrics_snapshot,
-        "spans": spans,
-    }))
+            conn.send(("chunk_failed", cid, traceback.format_exc()))
+        finally:
+            # Whatever did not ship (a failed attempt's partial reports)
+            # is dropped with the attempt.
+            relay.take()
+            campaign.profiler.reset()
+            if tracer is not None:
+                tracer.clean_captures = 0
 
 
 class _WorkerHandle:
-    """Parent-side view of one worker: process, queue, and current chunk."""
+    """Parent-side view of one worker: process, pipe, and current chunk."""
 
-    __slots__ = ("wid", "proc", "queue", "current", "started_at", "injections",
-                 "chunks_done", "finished")
+    __slots__ = ("wid", "proc", "conn", "current", "started_at", "injections",
+                 "alive", "stopped", "error")
 
-    def __init__(self, wid, proc, queue):
+    def __init__(self, wid, proc, conn):
         self.wid = wid
         self.proc = proc
-        self.queue = queue
+        self.conn = conn
         self.current = None  # chunk id dispatched to (or running on) the worker
         self.started_at = None  # monotonic time the current chunk started
         self.injections = 0
-        self.chunks_done = 0
-        self.finished = False  # worker sent its "done" report
+        self.alive = True  # until its pipe closes or the parent kills it
+        self.stopped = False  # the parent sent the stop sentinel
+        self.error = None  # traceback of a crashed worker setup
 
 
 class CampaignInterrupted(KeyboardInterrupt):
@@ -295,68 +261,11 @@ class ParallelCampaignExecutor:
         self.workers = int(workers)
         self.policy = coerce_policy(recovery)
 
-    def _publish(self, source, kind, data, worker=None):
+    def _publish(self, source, kind, data):
         """Publish one telemetry envelope if the campaign has a bus."""
         bus = self.campaign.telemetry
         if bus is not None:
-            bus.publish(source, kind, data, worker=worker)
-
-    # ------------------------------------------------------------------ #
-    # Observer plumbing
-    # ------------------------------------------------------------------ #
-
-    def _observer_setup(self, observe, n_injections):
-        """Coerce ``observe=`` and decide how workers shard their events.
-
-        Returns ``(tracer, mode, base_path)`` where mode is ``"jsonl"``
-        (workers append to ``<path>.shard<wid>`` files, merged with
-        torn-line tolerance) or ``"memory"`` (workers ship event lists
-        through the result queue), or ``(None, None, None)``.
-        """
-        if observe is None or observe is False:
-            return None, None, None
-        from ..observe import JsonlEventSink, coerce_tracer
-
-        tracer = coerce_tracer(observe)
-        # Surface the same error a worker's attach() would, before forking.
-        if self.campaign.target != "neuron":
-            raise ValueError(
-                "propagation tracing requires a neuron campaign; weight campaigns "
-                "perturb before the forward, so there is no injection site to trace from"
-            )
-        if isinstance(tracer.sink, JsonlEventSink):
-            return tracer, "jsonl", Path(tracer.sink.path)
-        return tracer, "memory", None
-
-    def _shard_path(self, base_path, wid):
-        return base_path.with_name(f"{base_path.name}.shard{wid}")
-
-    def _merge_observe(self, tracer, mode, base_path, shard_ids,
-                       memory_events, clean_captures):
-        """Fold worker event shards into the parent tracer, plan-ordered.
-
-        Events land in the tracer's pending buffer keyed by plan position,
-        so the subsequent ``finish()`` emits them in exactly the serial
-        order between the header (already written) and the footer.  The
-        position-keyed buffer also dedupes re-executions of retried chunks
-        (bitwise-identical events, so either copy is the serial one).
-        """
-        from ..observe import merge_shard_events
-
-        if mode == "jsonl":
-            shard_paths = [self._shard_path(base_path, wid)
-                           for wid in shard_ids]
-            merged = merge_shard_events([p for p in shard_paths if p.exists()])
-            for path in shard_paths:
-                if path.exists():
-                    path.unlink()
-        else:
-            merged = sorted(memory_events, key=lambda e: e.get("index", -1))
-        for event in merged:
-            p = event.get("index")
-            if p is not None and 0 <= p < len(tracer._pending):
-                tracer._pending[p] = event
-        tracer.clean_captures += clean_captures
+            bus.publish(source, kind, data)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -404,16 +313,28 @@ class ParallelCampaignExecutor:
         if journal is not None:
             journal_log, completed = recovery_mod.open_journal(
                 journal, campaign, n_injections, plan, len(chunks))
-        record_events = trace is not None or journal is not None
 
-        tracer, observe_mode, observe_base = self._observer_setup(observe, n_injections)
-        if tracer is not None:
+        tracer = None
+        if observe is not None and observe is not False:
+            from ..observe import coerce_tracer
+
+            tracer = coerce_tracer(observe)
+            # Surface the same error a worker's attach() would, before forking.
+            if campaign.target != "neuron":
+                raise ValueError(
+                    "propagation tracing requires a neuron campaign; weight "
+                    "campaigns perturb before the forward, so there is no "
+                    "injection site to trace from")
             campaign.observer = tracer
             tracer.begin(campaign, n_injections)  # header first, sized buffer
             if hasattr(tracer.sink, "flush"):
                 tracer.sink.flush()  # nothing buffered crosses the fork
 
-        state = _FleetState(campaign, chunks, n_injections, journal_log)
+        # A journal always captures trace events: the run that resumes it
+        # may ask for a trace even if this (interrupted) one did not.
+        state = _FleetState(campaign, chunks, plan, n_injections, journal_log,
+                            tracer, progress,
+                            record_events=trace is not None or journal is not None)
         for cid, record in completed.items():
             state.fold_journaled(cid, record)
         if progress is not None and state.completed_injections:
@@ -433,9 +354,7 @@ class ParallelCampaignExecutor:
             previous_sigterm = None
         try:
             if state.backlog:
-                self._execute_fleet(state, chunks, n_injections, plan, progress,
-                                    observe_mode, observe_base, record_events,
-                                    prof)
+                self._execute_fleet(state, prof)
         except BaseException:
             if journal_log is not None:
                 journal_log.close()  # idempotent; already closed on drain paths
@@ -445,140 +364,75 @@ class ParallelCampaignExecutor:
                 signal.signal(signal.SIGTERM, previous_sigterm)
         wall = time.perf_counter() - started
 
-        return self._merge(state, n_injections, confidence, wall, tracer,
-                           observe_mode, observe_base, trace, progress)
+        return self._merge(state, confidence, wall, trace)
 
-    def _spawn(self, ctx, state, wid, chunks, n_injections, plan, out_queue,
-               observe_mode, observe_base, record_events, profile_enabled):
+    def _spawn(self, ctx, state, wid):
         """Fork one worker (initial fleet or respawned replacement)."""
-        spec = None
-        if observe_mode == "jsonl":
-            shard_path = self._shard_path(observe_base, wid)
-            if shard_path.exists():
-                shard_path.unlink()  # stale shard from a prior run
-            spec = ("jsonl", str(shard_path), state.flush_every)
-        elif observe_mode == "memory":
-            spec = ("memory",)
-        in_queue = ctx.Queue()
+        conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(self.campaign, wid, chunks, n_injections, plan, in_queue,
-                  out_queue, spec, profile_enabled, record_events),
+            args=(self.campaign, wid, child_conn, state.chunks, state.plan,
+                  state.tracer is not None, state.record_events),
             daemon=True,
         )
         proc.start()
-        handle = _WorkerHandle(wid, proc, in_queue)
-        state.workers[wid] = handle
-        state.shard_ids.append(wid)
+        # The worker now holds the only child end: its exit reads as EOF.
+        child_conn.close()
+        state.workers[wid] = _WorkerHandle(wid, proc, conn)
         self._publish("worker", "spawn", {"wid": wid, "pid": proc.pid})
-        return handle
 
-    def _execute_fleet(self, state, chunks, n_injections, plan, progress,
-                       observe_mode, observe_base, record_events, prof):
+    def _execute_fleet(self, state, prof):
         """Spawn the fleet and schedule every pending chunk to completion."""
         ctx = multiprocessing.get_context("fork")
-        out_queue = ctx.Queue()
-        state.flush_every = (self.campaign.observer.sink.flush_every
-                            if observe_mode == "jsonl" else 1)
         n_workers = min(self.workers, len(state.backlog))
         try:
             with prof.span("campaign.parallel", cat="campaign",
-                           workers=n_workers, injections=n_injections) as pspan:
+                           workers=n_workers,
+                           injections=state.n_injections) as pspan:
                 for wid in range(n_workers):
-                    self._spawn(ctx, state, wid, chunks, n_injections, plan,
-                                out_queue, observe_mode, observe_base,
-                                record_events, prof.enabled)
-                for handle in state.workers.values():
-                    self._dispatch(state, handle)
+                    self._spawn(ctx, state, wid)
                 try:
-                    self._schedule(state, chunks, n_injections, plan, ctx,
-                                   out_queue, observe_mode, observe_base,
-                                   record_events, prof, progress)
-                    self._collect_done(state, out_queue, progress, n_injections)
+                    self._schedule(state, ctx)
+                    self._stop_fleet(state, _JOIN_TIMEOUT_S)
                 except KeyboardInterrupt:
-                    self._graceful_shutdown(state, out_queue, progress,
-                                            n_injections)
+                    self._graceful_shutdown(state)
                     raise CampaignInterrupted({
                         "completed_injections": state.completed_injections,
-                        "n_injections": n_injections,
+                        "n_injections": state.n_injections,
                         "journal": str(state.journal.path)
                         if state.journal is not None else None,
                         "completed_chunks": len(state.done),
-                        "n_chunks": len(chunks),
+                        "n_chunks": len(state.chunks),
                     }) from None
-                pspan.annotate(pids=[state.workers[w].proc.pid
-                                     for w in state.shard_ids])
+                pspan.annotate(pids=[h.proc.pid for h in state.workers.values()])
         finally:
             for handle in state.workers.values():
                 if handle.proc.is_alive():
                     handle.proc.terminate()
                     handle.proc.join(timeout=_JOIN_TIMEOUT_S)
-            self._drain_queue(out_queue)
+                handle.conn.close()
 
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, state, handle):
-        """Hand the next backlog chunk to an idle worker (if any remain)."""
-        if handle.current is not None or handle.finished or state.stopping:
-            return
-        if not state.backlog:
-            return
-        cid = state.backlog.popleft()
-        handle.current = cid
-        handle.started_at = None  # watchdog clock starts at the "start" msg
-        handle.queue.put(cid)
-
-    def _schedule(self, state, chunks, n_injections, plan, ctx, out_queue,
-                  observe_mode, observe_base, record_events, prof, progress):
-        """The parent's event loop: results, failures, watchdog, respawns."""
+    def _schedule(self, state, ctx):
+        """The parent's event loop: dispatch, results, failures, respawns."""
         policy = self.policy
         respawn_at = None
         while state.outstanding:
-            now = time.monotonic()
-            if respawn_at is not None and now >= respawn_at:
+            if respawn_at is not None and time.monotonic() >= respawn_at:
                 respawn_at = None
-                wid = len(state.shard_ids)
-                handle = self._spawn(ctx, state, wid, chunks, n_injections,
-                                     plan, out_queue, observe_mode,
-                                     observe_base, record_events, prof.enabled)
+                wid = len(state.workers)
+                self._spawn(ctx, state, wid)
                 state.respawns += 1
                 self._publish("recovery", "worker_respawned",
                               {"wid": wid, "respawns": state.respawns})
-                self._dispatch(state, handle)
-            try:
-                msg = out_queue.get(timeout=_POLL_TIMEOUT_S)
-            except queue_mod.Empty:
-                msg = None
-            if msg is not None:
-                kind, wid = msg[0], msg[1]
-                handle = state.workers[wid]
-                if kind == "progress":
-                    state.done_injections += msg[2]
-                    if progress is not None:
-                        progress(state.completed_injections, n_injections)
-                elif kind == "start":
-                    # A reaped worker's in-flight "start" is stale: its chunk
-                    # was already requeued when the death was detected.
-                    if wid not in state.reaped:
-                        handle.current = msg[2]
-                        handle.started_at = time.monotonic()
-                elif kind == "chunk":
-                    self._on_chunk(state, handle, msg[2], msg[3])
-                    self._dispatch(state, handle)
-                elif kind == "chunk_failed":
-                    handle.current = None
-                    handle.started_at = None
-                    self._chunk_failed(state, msg[2], msg[3])
-                    self._dispatch(state, handle)
-                elif kind == "fatal":
-                    # Setup crashed before the task loop; the liveness scan
-                    # below reaps the worker and requeues its chunk.
-                    state.fatal_errors[wid] = msg[2]
-                elif kind == "done":
-                    self._note_done(state, wid, msg[2])
-            self._reap_failures(state)
+            for handle in state.live_workers():
+                if handle.current is None and state.backlog:
+                    self._dispatch(handle, state.backlog.popleft())
+            self._pump(state, _POLL_TIMEOUT_S)
+            self._watchdog(state)
             if (not state.live_workers() and state.outstanding
                     and respawn_at is None):
                 if state.respawns >= policy.max_respawns:
@@ -601,82 +455,158 @@ class ParallelCampaignExecutor:
                 backoff = policy.respawn_backoff_s * (2 ** state.respawns)
                 respawn_at = time.monotonic() + backoff
 
-    def _reap_failures(self, state):
-        """Detect dead and hung workers; requeue their chunks."""
-        policy = self.policy
-        now = time.monotonic()
-        for handle in list(state.workers.values()):
-            if handle.finished or not handle.proc.is_alive():
-                if not handle.finished and handle.wid not in state.reaped:
-                    state.reaped.add(handle.wid)
-                    state.worker_failures += 1
-                    detail = state.fatal_errors.get(
-                        handle.wid,
-                        f"exit code {handle.proc.exitcode}")
-                    warnings.warn(
-                        f"campaign worker {handle.wid} died ({detail}); "
-                        f"requeueing its work", RuntimeWarning, stacklevel=3)
-                    self._publish("worker", "died", {
-                        "wid": handle.wid, "pid": handle.proc.pid,
-                        "detail": detail.splitlines()[-1] if detail else detail})
-                    if handle.current is not None:
-                        cid, handle.current = handle.current, None
-                        if handle.started_at is None:
-                            # Never started: no attempt burned, plain requeue.
-                            state.requeue(cid)
-                        else:
-                            self._chunk_failed(
-                                state, cid, f"worker {handle.wid} died "
-                                f"({detail}) while executing the chunk")
-                continue
-            if (policy.watchdog_s is not None and handle.started_at is not None
-                    and now - handle.started_at > policy.watchdog_s):
-                state.reaped.add(handle.wid)
-                state.worker_failures += 1
-                cid = handle.current
-                warnings.warn(
-                    f"campaign worker {handle.wid} exceeded the "
-                    f"{policy.watchdog_s:g}s per-chunk watchdog on chunk "
-                    f"{cid}; terminating it", RuntimeWarning, stacklevel=3)
-                self._publish("recovery", "watchdog_kill", {
-                    "wid": handle.wid, "chunk": cid,
-                    "watchdog_s": policy.watchdog_s})
-                self._publish("worker", "died", {
-                    "wid": handle.wid, "pid": handle.proc.pid,
-                    "detail": "watchdog"})
-                handle.proc.kill()
-                handle.proc.join(timeout=_JOIN_TIMEOUT_S)
-                handle.current = None
-                self._chunk_failed(
-                    state, cid,
-                    f"watchdog: chunk exceeded {policy.watchdog_s:g}s "
-                    f"on worker {handle.wid}")
+    @staticmethod
+    def _dispatch(handle, cid):
+        """Hand one chunk to an idle worker."""
+        handle.current = cid
+        handle.started_at = None  # watchdog clock starts at the "start" msg
+        try:
+            handle.conn.send(cid)
+        except OSError:
+            pass  # already dead: the exit scan requeues the unstarted chunk
 
-    def _note_done(self, state, wid, payload):
-        """Record one worker's exit report (idempotent across drain paths)."""
-        handle = state.workers[wid]
-        if not handle.finished:
-            handle.finished = True
+    def _pump(self, state, timeout):
+        """Wait for worker traffic, handle every message, reap exits.
+
+        Each worker writes only its own pipe, so a worker killed mid-send
+        tears nothing but that pipe — read here as EOF or a torn message,
+        like its process sentinel, and thrown away with the worker.
+        """
+        live = [h for h in state.workers.values() if h.alive]
+        wait([h.conn for h in live] + [h.proc.sentinel for h in live], timeout)
+        for handle in live:
+            # Exit status first: a worker already dead has written every
+            # message it ever will, so the drain below misses none.
+            exited = handle.proc.exitcode is not None
+            while True:
+                try:
+                    if not handle.conn.poll():
+                        break
+                    msg = handle.conn.recv()
+                except (EOFError, OSError):
+                    exited = True
+                    break
+                except KeyboardInterrupt:
+                    # An interrupted recv can leave half a message behind:
+                    # never read this pipe again; shutdown kills the worker.
+                    handle.alive = False
+                    raise
+                self._on_message(state, handle, msg)
+            if exited:
+                self._on_exit(state, handle)
+
+    def _on_message(self, state, handle, msg):
+        kind = msg[0]
+        if kind == "start":
+            handle.started_at = time.monotonic()
+        elif kind == "chunk":
+            self._fold(state, handle, *msg[1:])
+        elif kind == "chunk_failed":
+            handle.current = None
+            handle.started_at = None
+            self._chunk_failed(state, msg[1], msg[2])
+        elif kind == "fatal":
+            # Setup crashed before the task loop; the exit scan reports it
+            # and requeues the worker's chunk.
+            handle.error = msg[1]
+
+    def _on_exit(self, state, handle):
+        """A worker's pipe closed: a requested stop, or a death to recover."""
+        handle.alive = False
+        handle.proc.join(timeout=_JOIN_TIMEOUT_S)
+        handle.conn.close()
+        if handle.stopped and handle.proc.exitcode == 0:
             self._publish("worker", "exit",
-                          {"wid": wid, "pid": payload.get("pid")})
-        state.done_payloads[wid] = payload
+                          {"wid": handle.wid, "pid": handle.proc.pid})
+            return
+        state.worker_failures += 1
+        detail = handle.error or f"exit code {handle.proc.exitcode}"
+        warnings.warn(
+            f"campaign worker {handle.wid} died ({detail}); "
+            f"requeueing its work", RuntimeWarning, stacklevel=2)
+        self._publish("worker", "died", {
+            "wid": handle.wid, "pid": handle.proc.pid,
+            "detail": detail.splitlines()[-1] if detail else detail})
+        if handle.current is not None:
+            cid, handle.current = handle.current, None
+            if handle.started_at is None:
+                # Never started: no attempt burned, plain requeue.
+                state.requeue(cid)
+            else:
+                self._chunk_failed(
+                    state, cid, f"worker {handle.wid} died "
+                    f"({detail}) while executing the chunk")
 
-    def _on_chunk(self, state, handle, cid, payload):
+    def _watchdog(self, state):
+        """Kill workers stuck past the per-chunk deadline; retry their chunk."""
+        watchdog_s = self.policy.watchdog_s
+        if watchdog_s is None:
+            return
+        now = time.monotonic()
+        for handle in state.live_workers():
+            if handle.started_at is None or now - handle.started_at <= watchdog_s:
+                continue
+            state.worker_failures += 1
+            cid = handle.current
+            warnings.warn(
+                f"campaign worker {handle.wid} exceeded the "
+                f"{watchdog_s:g}s per-chunk watchdog on chunk "
+                f"{cid}; terminating it", RuntimeWarning, stacklevel=2)
+            self._publish("recovery", "watchdog_kill", {
+                "wid": handle.wid, "chunk": cid, "watchdog_s": watchdog_s})
+            self._publish("worker", "died", {
+                "wid": handle.wid, "pid": handle.proc.pid,
+                "detail": "watchdog"})
+            handle.proc.kill()
+            handle.proc.join(timeout=_JOIN_TIMEOUT_S)
+            handle.conn.close()
+            handle.alive = False
+            handle.current = handle.started_at = None
+            self._chunk_failed(
+                state, cid,
+                f"watchdog: chunk exceeded {watchdog_s:g}s "
+                f"on worker {handle.wid}")
+
+    def _fold(self, state, handle, cid, record, envelopes):
+        """Fold one completed chunk: the parent's only merge.
+
+        Journals the record durably first, folds its tallies, perf delta,
+        and trace events, then replays the worker's envelope list in the
+        order it was produced: full observe events land in the tracer's
+        plan-ordered buffer (their bus summary is derived here), clean
+        captures, spans, and metrics fold into this process, and bus rows
+        republish with this process's sequence numbers.
+        """
         handle.started_at = None
         if handle.current == cid:
             handle.current = None
         if cid in state.done or cid in state.quarantined:
             return  # duplicate completion of a retried chunk; results identical
+        if state.journal is not None:
+            state.journal.write_chunk(cid, record)
+        state.done.add(cid)
+        state.fold_tallies(record)
+        handle.injections += record["injections"]
         bus = self.campaign.telemetry
-        if bus is not None:
-            # Republish the worker's buffered telemetry with this process's
-            # sequence numbers.  A retried chunk's duplicate rows never get
-            # here — the dedup above discards them with the payload.
-            for source, kind, data, worker in payload.get("telemetry") or ():
+        prof = self.campaign.profiler
+        for source, kind, data, worker in envelopes:
+            if source == "profile":
+                if kind == "spans":
+                    prof.adopt_spans(data, pid=handle.proc.pid,
+                                     process_name=f"repro.worker[{handle.wid}]")
+                else:
+                    prof.metrics.merge_snapshot(data)
+                continue
+            if source == "observe":
+                if kind == "captures":
+                    state.tracer.clean_captures += data
+                    continue
+                state.tracer.adopt(data)
+                data = injection_summary(data)
+            if bus is not None:
                 bus.publish(source, kind, data, worker=worker)
-        state.fold_chunk(cid, payload)
-        handle.injections += payload["injections"]
-        handle.chunks_done += 1
+        if state.progress is not None:
+            state.progress(state.completed_injections, state.n_injections)
 
     def _chunk_failed(self, state, cid, detail):
         """One failed execution attempt: retry or quarantine."""
@@ -700,121 +630,60 @@ class ParallelCampaignExecutor:
                 "chunk": cid, "attempts": state.attempts[cid]})
             state.requeue(cid)
 
-    def _collect_done(self, state, out_queue, progress, n_injections):
-        """Stop the fleet and gather every worker's exit report."""
-        state.stopping = True
-        for handle in state.workers.values():
-            if handle.proc.is_alive() and not handle.finished:
-                handle.queue.put(None)
-        deadline = time.monotonic() + _JOIN_TIMEOUT_S
-        while (any(not h.finished for h in state.workers.values())
-               and time.monotonic() < deadline):
+    def _stop_fleet(self, state, timeout_s):
+        """Stop every worker after its current chunk; fold until they exit."""
+        for handle in state.live_workers():
+            handle.stopped = True
             try:
-                msg = out_queue.get(timeout=_POLL_TIMEOUT_S)
-            except queue_mod.Empty:
-                # A worker's exit report can still be in the queue after its
-                # process has died; give up on it only once the queue has
-                # gone quiet and no unfinished worker remains alive.
-                if not any(not h.finished and h.proc.is_alive()
-                           for h in state.workers.values()):
-                    break
-                continue
-            kind, wid = msg[0], msg[1]
-            if kind == "done":
-                self._note_done(state, wid, msg[2])
-            elif kind == "chunk":
-                self._on_chunk(state, state.workers[wid], msg[2], msg[3])
-        for handle in state.workers.values():
-            if handle.finished:
-                handle.proc.join(timeout=_JOIN_TIMEOUT_S)
+                handle.conn.send(None)
+            except OSError:
+                pass  # already dead: its pipe reads as EOF below
+        deadline = time.monotonic() + timeout_s
+        while any(h.alive for h in state.workers.values()):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            self._pump(state, min(_POLL_TIMEOUT_S, remaining))
 
-    def _graceful_shutdown(self, state, out_queue, progress, n_injections):
-        """Drain in-flight chunks, flush everything, terminate all children."""
-        state.stopping = True
-        deadline = time.monotonic() + self.policy.drain_timeout_s
+    def _graceful_shutdown(self, state):
+        """Drain in-flight chunks, then flush the journal and observe sink."""
         try:
-            for handle in state.workers.values():
-                if handle.proc.is_alive():
-                    handle.queue.put(None)  # stop after the current chunk
-            while (any(h.current is not None and h.proc.is_alive()
-                       for h in state.workers.values())
-                   and time.monotonic() < deadline):
-                try:
-                    msg = out_queue.get(timeout=_POLL_TIMEOUT_S)
-                except queue_mod.Empty:
-                    continue
-                kind, wid = msg[0], msg[1]
-                handle = state.workers[wid]
-                if kind == "chunk":
-                    self._on_chunk(state, handle, msg[2], msg[3])
-                elif kind == "start":
-                    handle.current = msg[2]
-                    handle.started_at = time.monotonic()
-                elif kind == "chunk_failed":
-                    handle.current = None
-                elif kind == "done":
-                    self._note_done(state, wid, msg[2])
+            self._stop_fleet(state, self.policy.drain_timeout_s)
         except KeyboardInterrupt:
             pass  # second interrupt: stop draining, terminate now
         finally:
-            for handle in state.workers.values():
-                if handle.proc.is_alive():
-                    handle.proc.terminate()
-                    handle.proc.join(timeout=_JOIN_TIMEOUT_S)
-            self._drain_queue(out_queue)
             if state.journal is not None:
                 state.journal.close()
             observer = self.campaign.observer
             if observer is not None and hasattr(observer.sink, "flush"):
                 observer.sink.flush()
 
-    @staticmethod
-    def _drain_queue(out_queue):
-        """Empty the result queue so its feeder thread cannot block join."""
-        while True:
-            try:
-                out_queue.get_nowait()
-            except queue_mod.Empty:
-                return
-
     # ------------------------------------------------------------------ #
     # Merge
     # ------------------------------------------------------------------ #
 
-    def _merge(self, state, n_injections, confidence, wall, tracer,
-               observe_mode, observe_base, trace, progress):
-        """Order-independent merge of every shard into serial-equivalent state."""
+    def _merge(self, state, confidence, wall, trace):
+        """Turn the folded fleet state into serial-equivalent results."""
         campaign = self.campaign
         prof = campaign.profiler
-        shard_ids = state.shard_ids
-        with prof.span("campaign.merge", cat="campaign", workers=len(shard_ids)):
+        workers = list(state.workers.values())
+        with prof.span("campaign.merge", cat="campaign", workers=len(workers)):
             perf = campaign.perf
             perf.chunk_retries += state.chunk_retries
             perf.chunks_requeued += state.requeued
             perf.chunks_quarantined += len(state.quarantined)
             perf.worker_failures += state.worker_failures
             perf.worker_respawns += state.respawns
-            if prof.enabled:
-                for wid in shard_ids:
-                    payload = state.done_payloads.get(wid)
-                    if payload is None:
-                        continue
-                    if payload["metrics"] is not None:
-                        prof.metrics.merge_snapshot(payload["metrics"])
-                    if payload["spans"]:
-                        prof.adopt_spans(payload["spans"], pid=payload["pid"],
-                                         process_name=f"repro.worker[{wid}]")
             # Republishes merged perf into prof.metrics, fixing the derived
             # rate gauges the snapshot merge cannot reconstruct.
             campaign._finalize_perf(state.completed_injections, wall)
             if trace is not None:
                 for p in sorted(state.trace_events):
                     trace.record(**state.trace_events[p])
-        if progress is not None:
-            progress(state.completed_injections, n_injections)
         # A quarantined chunk leaves completed < total, so the heartbeat's
         # own final-tick bypass never fires; force its terminal line.
-        _finish_progress(progress, state.completed_injections, n_injections)
+        _finish_progress(state.progress, state.completed_injections,
+                         state.n_injections)
         bus = campaign.telemetry
         if (bus is not None and state.quarantined
                 and getattr(bus, "recorder", None) is not None):
@@ -824,12 +693,10 @@ class ParallelCampaignExecutor:
                 if state.journal is not None else None)
         campaign.parallel_info = {
             "requested_workers": self.workers,
-            "workers": len(shard_ids),
+            "workers": len(workers),
             "wall_time_s": wall,
-            "per_worker_injections": [state.workers[w].injections
-                                      for w in shard_ids],
-            "per_worker_pids": [int(state.workers[w].proc.pid)
-                                for w in shard_ids],
+            "per_worker_injections": [h.injections for h in workers],
+            "per_worker_pids": [int(h.proc.pid) for h in workers],
             "retries": state.chunk_retries,
             "requeued_chunks": state.requeued,
             "quarantined_chunks": len(state.quarantined),
@@ -857,43 +724,38 @@ class ParallelCampaignExecutor:
                     "chunks_written": int(state.journal.records_written),
                 })
             state.journal.close()
-        if tracer is not None:
-            self._merge_observe(tracer, observe_mode, observe_base, shard_ids,
-                                state.memory_events, state.clean_captures)
-            tracer.finish(campaign, result)
+        if state.tracer is not None:
+            state.tracer.finish(campaign, result)
         return result
 
 
 class _FleetState:
     """Every accumulator one parallel run threads through its phases."""
 
-    def __init__(self, campaign, chunks, n_injections, journal):
+    def __init__(self, campaign, chunks, plan, n_injections, journal, tracer,
+                 progress, record_events):
         self.campaign = campaign
+        self.chunks = chunks
+        self.plan = plan
+        self.n_injections = n_injections
         self.journal = journal
+        self.tracer = tracer
+        self.progress = progress
+        self.record_events = record_events
         self.per_layer_inj = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.corrupted_total = 0
         self.completed_injections = 0
-        self.done_injections = 0  # progress ticks (includes journaled work)
         self.trace_events = {}
-        self.memory_events = []
-        self.clean_captures = 0
-        self.chunk_sizes = [len(chunk) for chunk in chunks]
         self.backlog = deque(range(len(chunks)))
         self.done = set()
         self.quarantined = {}
         self.attempts = {}
         self.workers = {}
-        self.shard_ids = []
-        self.done_payloads = {}
-        self.fatal_errors = {}
-        self.reaped = set()
-        self.stopping = False
         self.chunk_retries = 0
         self.requeued = 0
         self.worker_failures = 0
         self.respawns = 0
-        self.flush_every = 1
 
     @property
     def outstanding(self):
@@ -903,25 +765,19 @@ class _FleetState:
         return (set(self.backlog) | inflight) - self.done - set(self.quarantined)
 
     def live_workers(self):
-        return [h for h in self.workers.values()
-                if h.proc.is_alive() and not h.finished]
+        """Workers still running and accepting chunks."""
+        return [h for h in self.workers.values() if h.alive and not h.stopped]
 
     def requeue(self, cid):
+        """Put a chunk back at the front; the scheduler redispatches it."""
         self.requeued += 1
         self.backlog.appendleft(cid)
-        # An idle surviving worker picks the retry up immediately.
-        for handle in self.live_workers():
-            if handle.current is None:
-                handle.current = self.backlog.popleft()
-                handle.started_at = None
-                handle.queue.put(handle.current)
-                break
 
     def quarantine(self, cid, detail):
         self.quarantined[cid] = {
             "layer": None,
             "positions": None,
-            "injections": self.chunk_sizes[cid],
+            "injections": len(self.chunks[cid]),
             "error": detail,
         }
 
@@ -932,19 +788,9 @@ class _FleetState:
             self.backlog.remove(cid)
         except ValueError:
             pass
-        self._fold_tallies(record)
+        self.fold_tallies(record)
 
-    def fold_chunk(self, cid, payload):
-        """Fold one freshly executed chunk; journal it durably first."""
-        if self.journal is not None:
-            self.journal.write_chunk(
-                cid, {k: payload[k] for k in _JOURNAL_KEYS if k in payload})
-        self.done.add(cid)
-        self._fold_tallies(payload)
-        self.memory_events.extend(payload.get("observe_events") or [])
-        self.clean_captures += payload.get("clean_captures", 0)
-
-    def _fold_tallies(self, record):
+    def fold_tallies(self, record):
         recovery_mod.fold_chunk_tallies(record, self.per_layer_inj,
                                         self.per_layer_cor)
         self.corrupted_total += record["corruptions"]

@@ -71,31 +71,6 @@ def _cmd_run(args):
     return 0
 
 
-class _SelfLabelledDataset:
-    """Synthetic inputs labelled with the model's own clean predictions.
-
-    The runtime profiler campaigns untrained zoo models; self-labelling
-    gives the campaign a 100%-clean-accuracy input pool so pool screening
-    never rejects everything.
-    """
-
-    def __init__(self, model, base):
-        self.model = model
-        self.base = base
-
-    @property
-    def input_shape(self):
-        return self.base.input_shape
-
-    def sample(self, n, rng=None, labels=None):
-        from .tensor import Tensor, no_grad
-
-        images, _ = self.base.sample(n, rng=rng)
-        with no_grad():
-            preds = self.model(Tensor(images)).data.argmax(axis=1)
-        return images, preds
-
-
 def _telemetry_start(args, campaign):
     """Attach the live-telemetry plane around one CLI campaign run.
 
@@ -177,7 +152,7 @@ def _profile_runtime(args, model_name):
     """The runtime profile: spans + metrics + Chrome-trace artifacts."""
     from . import models, tensor
     from .campaign import InjectionCampaign
-    from .data import SyntheticClassification
+    from .data import SelfLabelledDataset, SyntheticClassification
     from .profile import Profiler, profile_model, text_table, write_artifacts
 
     try:
@@ -198,7 +173,7 @@ def _profile_runtime(args, model_name):
                                    rng=tensor.spawn(args.seed))
             net.eval()
             classes, size = models.dataset_preset(args.dataset)
-            dataset = _SelfLabelledDataset(
+            dataset = SelfLabelledDataset(
                 net, SyntheticClassification(num_classes=classes, image_size=size,
                                              seed=args.seed + 1))
             profiler = Profiler()
@@ -276,7 +251,7 @@ def _inject_campaign(args):
 
     from . import models, tensor
     from .campaign import CampaignInterrupted, InjectionCampaign
-    from .data import SyntheticClassification
+    from .data import SelfLabelledDataset, SyntheticClassification
 
     tensor.manual_seed(args.seed)
     try:
@@ -286,7 +261,7 @@ def _inject_campaign(args):
     except ValueError as exc:
         return _inject_fail(args, str(exc))
     net.eval()
-    dataset = _SelfLabelledDataset(
+    dataset = SelfLabelledDataset(
         net, SyntheticClassification(num_classes=classes, image_size=size,
                                      seed=args.seed + 1))
     campaign = InjectionCampaign(

@@ -37,7 +37,7 @@ from .events import (
     divergence_rows,
 )
 from .report import REPORT_SCHEMA_VERSION, aggregate, render_json, render_markdown, timing_summary
-from .sinks import JsonlEventSink, MemorySink, load_events, merge_shard_events
+from .sinks import JsonlEventSink, MemorySink, load_events
 from .tracer import PropagationTracer, coerce_tracer
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "coerce_tracer",
     "divergence_rows",
     "load_events",
-    "merge_shard_events",
     "render_json",
     "render_markdown",
     "timing_summary",

@@ -131,21 +131,3 @@ def load_events(path, strict=False):
                     stacklevel=2,
                 )
     return events
-
-
-def merge_shard_events(paths, strict=False):
-    """Merge per-worker JSONL event shards into one plan-ordered list.
-
-    Each shard is read with :func:`load_events`, so a torn trailing line in
-    one shard is skipped (with a warning) without dropping any other
-    shard's events.  Injection events carry their plan position as
-    ``index``; the merged list is stable-sorted on it, which reproduces the
-    exact order a serial campaign would have emitted them in.  Events
-    without an ``index`` (campaign headers/footers) sort first, keeping
-    their per-shard relative order.
-    """
-    merged = []
-    for path in paths:
-        merged.extend(load_events(path, strict=strict))
-    merged.sort(key=lambda e: e.get("index", -1))
-    return merged

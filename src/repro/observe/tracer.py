@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..telemetry import WorkerTelemetryRelay
 from ..tensor import Tensor, no_grad
 from .events import (
     EVENT_SCHEMA_VERSION,
@@ -44,6 +45,7 @@ from .events import (
     _finite,
     build_event,
     divergence_rows,
+    injection_summary,
 )
 from .sinks import JsonlEventSink, MemorySink
 
@@ -124,17 +126,9 @@ class PropagationTracer:
     def close(self):
         self.sink.close()
 
-    def begin(self, campaign, n_injections, emit_header=True):
-        """Size the plan-ordered event buffer and emit the campaign header.
-
-        Parallel workers observe a *shard* of a campaign: they pass
-        ``emit_header=False`` so only the parent writes the one
-        ``campaign_start`` record, while every worker still buffers its
-        injection events by plan position.
-        """
+    def begin(self, campaign, n_injections):
+        """Size the plan-ordered event buffer and emit the campaign header."""
         self._pending = [None] * n_injections
-        if not emit_header:
-            return
         self.sink.emit({
             "type": "campaign_start",
             "v": EVENT_SCHEMA_VERSION,
@@ -148,11 +142,7 @@ class PropagationTracer:
         })
 
     def flush_pending(self):
-        """Emit buffered injection events in plan order; returns the count.
-
-        Shared by :meth:`finish` and by parallel workers, which flush their
-        shard's events to a per-worker sink without emitting a footer.
-        """
+        """Emit buffered injection events in plan order; returns the count."""
         flushed = 0
         for event in self._pending:
             if event is not None:
@@ -162,36 +152,26 @@ class PropagationTracer:
         self.observed_injections += flushed
         return flushed
 
-    def take_events(self, positions):
-        """Pop the buffered events at ``positions``; returns the list.
+    def adopt(self, event):
+        """Buffer one event a forked worker observed, at its plan position.
 
-        Parallel workers call this after every chunk so events reach their
-        shard sink (and disk) chunk-by-chunk instead of at campaign end —
-        a worker killed mid-campaign has already persisted every completed
-        chunk's telemetry.  Order inside the list follows ``positions``;
-        the index-keyed merge restores plan order regardless.
+        The parallel executor adopts every worker event as its chunk
+        arrives; :meth:`finish` then emits them in serial order.
         """
-        taken = []
-        for p in positions:
-            event = self._pending[p]
-            if event is not None:
-                taken.append(event)
-                self._pending[p] = None
-        self.observed_injections += len(taken)
-        return taken
+        self._pending[event["index"]] = event
 
     def finish(self, campaign, result):
         """Flush buffered injection events (plan order) and the campaign footer."""
         self.flush_pending()
-        self.sink.emit({
-            "type": "campaign_end",
-            "v": EVENT_SCHEMA_VERSION,
-            "network": campaign.network_name,
-            "injections": int(result.injections),
-            "corruptions": int(result.corruptions),
-            "clean_captures": int(self.clean_captures),
-            "perf": campaign.perf.as_dict(),
-        })
+        self.sink.emit(dict(
+            type="campaign_end",
+            v=EVENT_SCHEMA_VERSION,
+            network=campaign.network_name,
+            injections=int(result.injections),
+            corruptions=int(result.corruptions),
+            clean_captures=int(self.clean_captures),
+            perf=campaign.perf.as_dict(),
+        ))
 
     # ------------------------------------------------------------------ #
     # Per-chunk observation
@@ -280,10 +260,13 @@ class PropagationTracer:
         finite = np.isfinite(logits).all(axis=1)
         argmax = np.nan_to_num(logits, nan=-np.inf).argmax(axis=1)
         # Live telemetry: one compact envelope per injection through the
-        # campaign's bus (a worker relay inside forked workers).  Publish
-        # only reads; the full event still flows through the sink path.
+        # campaign's bus.  Publish only reads; the full event still flows
+        # through the sink path.  Inside a forked worker the bus is a relay
+        # and the full event rides home through it instead: the parent
+        # adopts it and publishes the same summary.
         bus = (getattr(self._campaign, "telemetry", None)
                if self._campaign is not None else None)
+        relaying = isinstance(bus, WorkerTelemetryRelay)
         for b, p in enumerate(positions):
             divergence = [
                 LayerDivergence(j, counts[b], _finite(l2[b]), _finite(linf[b]))
@@ -313,17 +296,13 @@ class PropagationTracer:
                 predicted=argmax[b],
                 outcome=outcome,
             )
-            self._pending[p] = event.to_dict()
-            if bus is not None:
-                bus.publish("observe", "injection", {
-                    "index": int(p),
-                    "layer": int(site_layers[b]),
-                    "outcome": outcome,
-                    "corrupted": bool(flags[b]),
-                    "predicted": int(argmax[b]),
-                    "label": int(labels[b]),
-                    "resumed": bool(resumed),
-                })
+            record = event.to_dict()
+            if relaying:
+                bus.publish("observe", "injection", record)
+            else:
+                self._pending[p] = record
+                if bus is not None:
+                    bus.publish("observe", "injection", injection_summary(record))
         self._acts = {}
         self._chunk_clean = None
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import bitflip
-from ..core.injectors import random_weight_locations
+from ..core.injectors import _restrict_channels, _restrict_pool, random_weight_locations
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,19 @@ def sample_resident_faults(fi, k, rng, bit=None, stuck=1, layers=None,
         bits = quantization[0].bits if quantization else 32
     if bit is not None and not 0 <= bit < bits:
         raise ValueError(f"bit {bit} out of range [0, {bits})")
+    if k > 0:
+        # Check capacity before any draw: past it, the re-draw loop below
+        # stops only at its stagnation guard, minutes later on a big model.
+        eligible = [info for info in fi.layers if info.weight_shape]
+        _, sizes, shapes = _restrict_pool(
+            [info.index for info in eligible], [info.weights for info in eligible],
+            [info.weight_shape for info in eligible], layers)
+        capacity = sum(_restrict_channels(sizes, shapes, channels)[0])
+        if k > capacity:
+            raise ValueError(
+                f"cannot sample {k} distinct weight sites under the "
+                f"selector (only {capacity} eligible); reduce the fault "
+                f"count or widen the selection")
     sites = []
     seen = set()
     stagnant = 0

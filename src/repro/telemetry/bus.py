@@ -30,9 +30,9 @@ Design constraints, in order:
 Inside forked campaign workers the *parent's* bus is unreachable (a
 copy-on-write clone of its queues goes nowhere), so workers publish into
 a :class:`WorkerTelemetryRelay` with the same ``publish`` signature; the
-buffered events ride home in each chunk's completion payload over the
-existing result pipe and the parent republishes them with its own
-sequence numbers.
+buffered rows ride home as the envelope list of each chunk's completion
+message, over the worker's private pipe, and the parent republishes them
+with its own sequence numbers.
 """
 
 from __future__ import annotations
@@ -198,12 +198,15 @@ class TelemetryBus:
 class WorkerTelemetryRelay:
     """Bus façade inside a forked campaign worker.
 
-    Publishes buffer locally; after each chunk the worker drains them
-    (:meth:`take`) into the chunk's completion payload, which travels the
-    existing result pipe.  The parent republishes each ``(source, kind,
-    data, worker)`` row through the real bus — so worker events get real
-    sequence numbers, reach every subscriber, and a retried chunk's
-    duplicate events are discarded along with its duplicate payload.
+    Every worker has one, whether or not the parent has a bus.  Publishes
+    buffer locally as ``(source, kind, data, worker)`` rows; after each
+    chunk the worker drains them (:meth:`take`) into the chunk's one
+    completion message.  Besides bus rows, the list carries what the
+    parent folds instead of republishing: full observe events (the parent
+    derives their bus summary), clean-capture counts, and profiler spans
+    and metrics.  The parent replays the rows in order, so worker events
+    get real sequence numbers and reach every subscriber, and a retried
+    chunk's duplicate rows are discarded with its duplicate message.
     """
 
     def __init__(self, worker):
@@ -218,7 +221,7 @@ class WorkerTelemetryRelay:
         return None
 
     def take(self):
-        """Drain the buffered rows (the per-chunk pipe payload)."""
+        """Drain the buffered rows (one chunk's envelope list)."""
         rows, self._buffer = self._buffer, []
         return rows
 

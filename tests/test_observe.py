@@ -457,41 +457,3 @@ class TestPerfCountersReset:
         assert perf.cache_hits == 0
         assert perf.elapsed_seconds == 0.0
         assert perf.resume_enabled is True
-
-
-class TestMergeShardEvents:
-    def test_merges_and_sorts_by_plan_index(self, tmp_path):
-        from repro.observe import merge_shard_events
-
-        a = tmp_path / "log.jsonl.shard0"
-        b = tmp_path / "log.jsonl.shard1"
-        a.write_text('{"index": 0}\n{"index": 2}\n')
-        b.write_text('{"index": 3}\n{"index": 1}\n')
-        merged = merge_shard_events([a, b])
-        assert [e["index"] for e in merged] == [0, 1, 2, 3]
-
-    def test_torn_trailing_line_skips_only_that_event(self, tmp_path):
-        """A worker killed mid-write loses at most its torn last line; every
-        other shard's events survive the merge intact."""
-        from repro.observe import merge_shard_events
-
-        whole = tmp_path / "log.jsonl.shard0"
-        torn = tmp_path / "log.jsonl.shard1"
-        whole.write_text('{"index": 0}\n{"index": 2}\n')
-        torn.write_text('{"index": 1}\n{"index": 3, "outcome": "mas')
-        with pytest.warns(RuntimeWarning, match="shard1:2"):
-            merged = merge_shard_events([whole, torn])
-        assert [e["index"] for e in merged] == [0, 1, 2]
-
-    def test_strict_mode_raises_on_torn_line(self, tmp_path):
-        from repro.observe import merge_shard_events
-
-        torn = tmp_path / "log.jsonl.shard0"
-        torn.write_text('{"index": 0}\n{"truncat')
-        with pytest.raises(ValueError, match="corrupt event"):
-            merge_shard_events([torn], strict=True)
-
-    def test_no_shards_is_empty(self):
-        from repro.observe import merge_shard_events
-
-        assert merge_shard_events([]) == []

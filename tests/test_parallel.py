@@ -9,9 +9,15 @@ every registry classifier at smoke scale), the sharded telemetry merges
 the validation/fallback paths.
 """
 
+import faulthandler
 import json
 import multiprocessing
 import os
+import signal
+import struct
+from contextlib import contextmanager
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -282,8 +288,10 @@ class TestParallelTelemetry:
             self.N, workers=2, progress=lambda done, total: ticks.append((done, total)))
         assert ticks[-1] == (self.N, self.N)
         assert all(total == self.N for _, total in ticks)
+        # One tick per folded chunk: never a stale count, never a repeat.
         dones = [done for done, _ in ticks]
-        assert dones == sorted(dones)
+        assert all(done > 0 for done in dones)
+        assert all(a < b for a, b in zip(dones, dones[1:]))
 
 
 class TestValidationAndFallback:
@@ -363,3 +371,83 @@ class TestChaos:
         assert trace.events == base_trace.events
         assert _science_tallies(campaign) == _science_tallies(base)
         assert campaign.perf.worker_failures == 1
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["handed", "torn"])
+    def test_worker_killed_after_a_multi_mb_send_cannot_wedge_the_fleet(
+            self, trained_tiny_model, tmp_path, monkeypatch, torn):
+        """A worker SIGKILLed right after handing a multi-MB chunk message
+        to its channel (or halfway through writing it) loses at most that
+        message; the survivor finishes and the result is bitwise serial."""
+        from .test_recovery import _science_tallies
+
+        model, dataset, _ = trained_tiny_model
+        n = 48
+        base = _campaign(model, dataset)
+        base_trace = InjectionTrace()
+        base_result = base.run(n, trace=base_trace)
+
+        campaign = _campaign(model, dataset)
+        parent = os.getpid()
+        orig_chunk = type(campaign)._execute_chunk
+        armed = []  # set only inside the one worker that is about to die
+
+        def ballasted(self, *args, **kwargs):
+            out = orig_chunk(self, *args, **kwargs)
+            if os.getpid() != parent:
+                try:
+                    (tmp_path / "killed").touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    armed.append(True)
+                    self.telemetry.publish("campaign", "ballast", bytes(4 << 20))
+            return out
+
+        orig_send = Connection.send
+
+        def send_then_die(self, obj):
+            if not (armed and obj[0] == "chunk"):
+                return orig_send(self, obj)
+            if torn:
+                buf = bytes(ForkingPickler.dumps(obj))
+                self._send(struct.pack("!i", len(buf)) + buf[:len(buf) // 2])
+            else:
+                orig_send(self, obj)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        campaign._execute_chunk = ballasted.__get__(campaign)
+        monkeypatch.setattr(Connection, "send", send_then_die)
+        trace = InjectionTrace()
+        with _deadline(120), pytest.warns(RuntimeWarning, match="died"):
+            result = campaign.run(n, workers=2, trace=trace)
+        assert (tmp_path / "killed").exists()
+        assert result.corruptions == base_result.corruptions
+        assert np.array_equal(result.per_layer_injections,
+                              base_result.per_layer_injections)
+        assert np.array_equal(result.per_layer_corruptions,
+                              base_result.per_layer_corruptions)
+        assert trace.events == base_trace.events
+        assert _science_tallies(campaign) == _science_tallies(base)
+        assert campaign.parallel_info["worker_failures"] == 1
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of stalling the suite, if the body hangs.
+
+    SIGALRM raises in the main thread (interrupting the parent's wait on
+    its workers); the faulthandler backstop dumps every thread's stack and
+    exits if even that cannot surface.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"campaign still running after {seconds}s: wedged")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    faulthandler.dump_traceback_later(seconds + 60, exit=True)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        faulthandler.cancel_dump_traceback_later()
+        signal.signal(signal.SIGALRM, previous)
