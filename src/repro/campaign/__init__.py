@@ -7,7 +7,7 @@ from .criteria import (
     Top1NotInTopK,
     as_criterion,
 )
-from .parallel import CampaignInterrupted, ParallelCampaignExecutor, partition_chunks
+from .parallel import ParallelCampaignExecutor
 from .recovery import (
     CampaignJournal,
     JournalError,
@@ -17,7 +17,7 @@ from .recovery import (
     plan_fingerprint,
 )
 from .resume import ActivationCheckpointCache, CampaignResumeEngine
-from .runner import CampaignResult, InjectionCampaign
+from .runner import CampaignInterrupted, CampaignResult, InjectionCampaign
 from .trace import InjectionEvent, InjectionTrace, margin
 from .stats import Proportion, normal_interval, required_trials, wilson_interval, z_score
 
@@ -38,7 +38,6 @@ __all__ = [
     "ParallelCampaignExecutor",
     "load_journal",
     "margin",
-    "partition_chunks",
     "plan_fingerprint",
     "Proportion",
     "Top1Misclassification",

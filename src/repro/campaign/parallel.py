@@ -1,8 +1,8 @@
 """Deterministic, fault-tolerant multi-process campaign execution.
 
 A :class:`ParallelCampaignExecutor` runs one :class:`InjectionCampaign`
-plan across N fork-based worker processes and merges the shards back into
-exactly what a serial run would have produced.  The determinism argument
+plan across N fork-based worker processes and folds every chunk back into
+exactly what an inline run would have produced.  The determinism argument
 has three legs, all properties the serial design already guarantees:
 
 1. **The plan is drawn in the parent.**  ``InjectionCampaign._plan`` makes
@@ -13,8 +13,8 @@ has three legs, all properties the serial design already guarantees:
 2. **Every injection carries a pinned seed.**  Error-model draws come from
    a per-injection ``default_rng(seed)``, so an injection's outcome does
    not depend on which process executes it, in what order, or alongside
-   which batch mates — chunks are grouped per layer before partitioning,
-   exactly as serially.
+   which batch mates — the chunk layout is fixed by the plan, exactly as
+   inline.
 3. **Replay is bitwise-exact regardless of cache state.**  The resume
    engine produces identical logits whether a chunk resumes from a cached
    checkpoint or runs a full forward, so workers' private (forked,
@@ -46,9 +46,11 @@ Each worker talks to the parent over one private duplex pipe and sends
 one message per completed chunk: its journal record plus one ordered
 envelope list.  Nothing is shared between workers, so a worker killed
 mid-send corrupts only its own pipe, which the parent reads as EOF and
-discards with the worker.  The parent folds every chunk message in one
-place, and that merge is order-independent: per-layer tallies are integer
-sums, per-chunk perf deltas add (:meth:`CampaignPerfCounters.merge` and
+discards with the worker.  The parent folds every chunk message through
+the same fold as inline and journaled chunks
+(:meth:`InjectionCampaign.run <repro.campaign.InjectionCampaign.run>`),
+and that fold is order-independent: per-layer tallies are integer sums,
+per-chunk perf deltas add (:meth:`CampaignPerfCounters.merge` and
 :meth:`MetricsRegistry.merge_snapshot` stay associative and commutative),
 observe events are keyed by plan position (``index``) and emitted in
 serial order, a retried chunk's duplicate completion is dropped whole
@@ -68,60 +70,48 @@ import traceback
 import warnings
 from collections import deque
 from multiprocessing.connection import wait
-from pathlib import Path
 
-import numpy as np
-
-from ..observe.events import injection_summary
-from ..profile.heartbeat import _finish_progress, coerce_progress
-from . import recovery as recovery_mod
 from .recovery import coerce_policy
-from .runner import CampaignResult
 
 _JOIN_TIMEOUT_S = 30.0
 _POLL_TIMEOUT_S = 1.0
 
 
-def partition_chunks(chunks, workers):
-    """Split a chunk list into ≤ ``workers`` contiguous, balanced shards.
+def worker_fleet(campaign, workers, recovery=None):
+    """The fleet that runs ``campaign``'s chunks on ``workers`` processes.
 
-    Each chunk lands in the shard its injection-count midpoint falls into,
-    so shards are contiguous runs of the (layer-sorted) chunk list with
-    near-equal injection totals.  Deterministic — same input, same shards —
-    and empty shards are dropped, so tiny campaigns simply use fewer
-    workers.  (The executor now dispatches chunks dynamically; this
-    partitioner remains the static-sharding primitive for callers that
-    want a fixed split.)
+    Returns None — run the chunks inline — for one worker, and on
+    platforms without ``fork`` (with a :class:`RuntimeWarning`).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    chunks = list(chunks)
-    total = sum(len(chunk) for chunk in chunks)
-    shards = [[] for _ in range(workers)]
-    cum = 0
-    for chunk in chunks:
-        mid = cum + len(chunk) / 2.0
-        w = min(workers - 1, int(mid * workers / total)) if total else 0
-        shards[w].append(chunk)
-        cum += len(chunk)
-    return [shard for shard in shards if shard]
+    if workers == 1:
+        return None
+    if "fork" not in multiprocessing.get_all_start_methods():
+        warnings.warn(
+            "fork start method unavailable; parallel campaign falling back "
+            "to serial execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    return ParallelCampaignExecutor(campaign, workers, recovery=recovery)
 
 
-def _worker_main(campaign, wid, conn, chunks, plan, observe, record_events):
+def _worker_main(campaign, wid, conn, run):
     """Body of one forked campaign worker.
 
     Runs in the child process over forked (copy-on-write) campaign state:
-    the model, pool, and activation cache arrive warm from the parent.
-    Receives chunk ids one at a time over its private pipe ``conn``
-    (``None`` is the stop sentinel) and answers each completed chunk with
-    exactly one ``("chunk", id, record, envelopes)`` message: ``record``
-    is the chunk's journal record and ``envelopes`` the ordered list its
-    :class:`~repro.telemetry.WorkerTelemetryRelay` collected — bus rows,
-    full observe events, clean-capture counts, profiler spans and metrics.
-    A worker that dies mid-campaign has already shipped everything it
-    completed.  A chunk whose execution raises is reported as
-    ``chunk_failed`` and the worker moves on; the parent decides between
-    retry and quarantine.
+    the model, pool, activation cache, and the run's plan arrive warm from
+    the parent, along with the run's propagation tracer, already attached
+    to this copy of the model.  Receives chunk ids one at a time over its
+    private pipe ``conn`` (``None`` is the stop sentinel) and answers each
+    completed chunk with exactly one ``("chunk", id, record, envelopes)``
+    message: ``record`` is the chunk's journal record and ``envelopes`` the
+    ordered list its :class:`~repro.telemetry.WorkerTelemetryRelay`
+    collected — bus rows, full observe events, clean-capture counts,
+    profiler spans and metrics.  A worker that dies mid-campaign has
+    already shipped everything it completed.  A chunk whose execution
+    raises is reported as ``chunk_failed`` and the worker moves on; the
+    parent decides between retry and quarantine.
     """
     # The parent coordinates shutdown: a terminal Ctrl-C lands on the whole
     # process group, and workers must keep draining their current chunk
@@ -133,7 +123,6 @@ def _worker_main(campaign, wid, conn, chunks, plan, observe, record_events):
         from ..profile.profiler import NULL_PROFILER, Profiler
         from ..telemetry import WorkerTelemetryRelay
 
-        pool_idx, layers, coords, seeds = plan
         # The parent's bus forked along with the campaign, but a
         # copy-on-write clone of its queues goes nowhere.  The relay
         # buffers everything this worker reports until the chunk ships.
@@ -143,12 +132,9 @@ def _worker_main(campaign, wid, conn, chunks, plan, observe, record_events):
         campaign.profiler = Profiler() if profiling else NULL_PROFILER
         if campaign._resume is not None:
             campaign._resume.profiler = campaign.profiler
-        tracer = None
-        if observe:
-            from ..observe import PropagationTracer
-
-            tracer = PropagationTracer()
-            tracer.attach(campaign)
+        tracer = run.tracer
+        if tracer is not None:
+            tracer.clean_captures = 0  # reported per chunk, folded by the parent
     except BaseException:
         conn.send(("fatal", traceback.format_exc()))
         raise
@@ -170,20 +156,14 @@ def _worker_main(campaign, wid, conn, chunks, plan, observe, record_events):
             return
         conn.send(("start", cid))
         try:
-            records = []
-            campaign._execute_plan(
-                [chunks[cid]], pool_idx, layers, coords, seeds,
-                observer=tracer,
-                events={} if record_events else None,
-                on_chunk=lambda _, info: records.append(info),
-                chunk_ids=[cid])
+            record = campaign._run_chunk(run, cid)
             if tracer is not None and tracer.clean_captures:
                 relay.publish("observe", "captures", tracer.clean_captures)
             if profiling:
                 relay.publish("profile", "spans", span_records(campaign.profiler))
                 relay.publish("profile", "metrics",
                               campaign.profiler.metrics.snapshot())
-            conn.send(("chunk", cid, records[0], relay.take()))
+            conn.send(("chunk", cid, record, relay.take()))
         except BaseException:
             conn.send(("chunk_failed", cid, traceback.format_exc()))
         finally:
@@ -213,39 +193,21 @@ class _WorkerHandle:
         self.error = None  # traceback of a crashed worker setup
 
 
-class CampaignInterrupted(KeyboardInterrupt):
-    """A campaign shut down gracefully on SIGINT/SIGTERM.
-
-    Raised after in-flight chunks drained, the journal and sinks flushed,
-    and every child terminated.  ``partial`` summarises what completed so
-    callers (the CLI, experiment drivers) can report progress and point at
-    the journal for resumption.
-    """
-
-    def __init__(self, partial):
-        self.partial = partial
-        super().__init__(
-            f"campaign interrupted: {partial['completed_injections']}"
-            f"/{partial['n_injections']} injections completed"
-            + (f", journaled to {partial['journal']}" if partial.get("journal")
-               else ""))
-
-
-def _raise_keyboard_interrupt(signum, frame):
-    raise KeyboardInterrupt
-
-
 class ParallelCampaignExecutor:
-    """Fan one campaign plan out over N forked workers; merge the shards.
+    """Dispatch one campaign run's chunks to N forked workers.
 
-    Constructed on demand by ``InjectionCampaign.run(..., workers=N)``;
-    usable directly when a caller wants ``parallel_info`` without going
-    through the campaign façade::
+    The fleet executor of :meth:`InjectionCampaign.run
+    <repro.campaign.InjectionCampaign.run>`: for ``workers=N`` the run's
+    driver draws the plan, folds journaled chunks, and hands the rest to
+    :meth:`execute`, which schedules them over the fleet and folds every
+    chunk a worker ships through the driver's one fold.  :meth:`run` is a
+    façade for callers that want ``parallel_info`` without going through
+    ``campaign.run``::
 
         executor = ParallelCampaignExecutor(campaign, workers=4)
         result = executor.run(10_000)
 
-    After ``run()`` the campaign's ``parallel_info`` dict records the
+    After a fleet run the campaign's ``parallel_info`` dict records the
     worker count actually used, per-worker injection counts and pids, the
     fleet's wall clock, and the recovery ledger (retries, requeues,
     quarantined chunks, worker failures/respawns) — the numbers ``repro
@@ -260,6 +222,22 @@ class ParallelCampaignExecutor:
         self.campaign = campaign
         self.workers = int(workers)
         self.policy = coerce_policy(recovery)
+        self.handles = {}
+        self.backlog = deque()
+        self.attempts = {}
+        self.chunk_retries = 0
+        self.requeued = 0
+        self.worker_failures = 0
+        self.respawns = 0
+
+    def run(self, n_injections, **kwargs):
+        """``campaign.run(n_injections, workers=N, **kwargs)`` under this policy.
+
+        With ``workers == 1`` (or without ``fork``) the chunks run inline
+        and ``parallel_info`` stays unset.
+        """
+        return self.campaign.run(n_injections, workers=self.workers,
+                                 recovery=self.policy, **kwargs)
 
     def _publish(self, source, kind, data):
         """Publish one telemetry envelope if the campaign has a bus."""
@@ -271,188 +249,143 @@ class ParallelCampaignExecutor:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def run(self, n_injections, confidence=0.99, progress=None, trace=None,
-            observe=None, journal=None):
-        """Execute ``n_injections`` across the worker fleet; merge results.
+    def execute(self, run):
+        """Execute every chunk ``run`` has not folded yet on the fleet.
 
-        Semantics match ``InjectionCampaign.run(..., workers=1)`` exactly
-        (outcomes, per-layer vulnerability, trace and observe events,
-        merged cache statistics); only wall clock differs — and the run
-        survives worker death, hangs, and interrupts (see the module
-        docstring).  Falls back to the serial path with a
-        :class:`RuntimeWarning` where ``fork`` is unavailable.
+        Survives worker death, hangs, and poisoned chunks (see the module
+        docstring).  On SIGINT/SIGTERM it drains in-flight chunks into the
+        run, terminates every worker, and lets the ``KeyboardInterrupt``
+        propagate to the driver.
         """
-        campaign = self.campaign
-        if n_injections < 1:
-            raise ValueError(f"n_injections must be >= 1, got {n_injections}")
-        if self.workers == 1:
-            return campaign.run(n_injections, confidence=confidence,
-                                progress=progress, trace=trace, observe=observe,
-                                journal=journal)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            warnings.warn(
-                "fork start method unavailable; parallel campaign falling back "
-                "to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return campaign.run(n_injections, confidence=confidence,
-                                progress=progress, trace=trace, observe=observe,
-                                journal=journal)
-
-        progress = coerce_progress(progress, campaign)
-        prof = campaign.profiler
-        started = time.perf_counter()
-        with prof.span("campaign.plan", cat="campaign", injections=n_injections):
-            pool_idx, layers, coords, seeds = campaign._plan(n_injections)
-        plan = (pool_idx, layers, coords, seeds)
-        chunks = campaign._chunks(layers, n_injections)
-
-        journal_log = None
-        completed = {}
-        if journal is not None:
-            journal_log, completed = recovery_mod.open_journal(
-                journal, campaign, n_injections, plan, len(chunks))
-
-        tracer = None
-        if observe is not None and observe is not False:
-            from ..observe import coerce_tracer
-
-            tracer = coerce_tracer(observe)
-            # Surface the same error a worker's attach() would, before forking.
-            if campaign.target != "neuron":
-                raise ValueError(
-                    "propagation tracing requires a neuron campaign; weight "
-                    "campaigns perturb before the forward, so there is no "
-                    "injection site to trace from")
-            campaign.observer = tracer
-            tracer.begin(campaign, n_injections)  # header first, sized buffer
-            if hasattr(tracer.sink, "flush"):
-                tracer.sink.flush()  # nothing buffered crosses the fork
-
-        # A journal always captures trace events: the run that resumes it
-        # may ask for a trace even if this (interrupted) one did not.
-        state = _FleetState(campaign, chunks, plan, n_injections, journal_log,
-                            tracer, progress,
-                            record_events=trace is not None or journal is not None)
-        for cid, record in completed.items():
-            state.fold_journaled(cid, record)
-        if progress is not None and state.completed_injections:
-            progress(state.completed_injections, n_injections)
-        if state.completed_injections:
-            self._publish("campaign", "progress", {
-                "done": state.completed_injections, "total": n_injections})
-
-        # SIGTERM gets the same graceful-drain treatment as Ctrl-C.  Signal
-        # handlers only install from the main thread; elsewhere a SIGTERM
-        # keeps its default disposition and the journal still survives (it
-        # is fsync'd per record).
-        try:
-            previous_sigterm = signal.signal(
-                signal.SIGTERM, _raise_keyboard_interrupt)
-        except ValueError:
-            previous_sigterm = None
-        try:
-            if state.backlog:
-                self._execute_fleet(state, prof)
-        except BaseException:
-            if journal_log is not None:
-                journal_log.close()  # idempotent; already closed on drain paths
-            raise
-        finally:
-            if previous_sigterm is not None:
-                signal.signal(signal.SIGTERM, previous_sigterm)
-        wall = time.perf_counter() - started
-
-        return self._merge(state, confidence, wall, trace)
-
-    def _spawn(self, ctx, state, wid):
-        """Fork one worker (initial fleet or respawned replacement)."""
-        conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(self.campaign, wid, child_conn, state.chunks, state.plan,
-                  state.tracer is not None, state.record_events),
-            daemon=True,
-        )
-        proc.start()
-        # The worker now holds the only child end: its exit reads as EOF.
-        child_conn.close()
-        state.workers[wid] = _WorkerHandle(wid, proc, conn)
-        self._publish("worker", "spawn", {"wid": wid, "pid": proc.pid})
-
-    def _execute_fleet(self, state, prof):
-        """Spawn the fleet and schedule every pending chunk to completion."""
+        self.backlog = deque(cid for cid in range(len(run.chunks))
+                             if cid not in run.done)
+        if not self.backlog:
+            return
+        if run.tracer is not None and hasattr(run.tracer.sink, "flush"):
+            run.tracer.sink.flush()  # nothing buffered crosses the fork
         ctx = multiprocessing.get_context("fork")
-        n_workers = min(self.workers, len(state.backlog))
+        n_workers = min(self.workers, len(self.backlog))
         try:
-            with prof.span("campaign.parallel", cat="campaign",
-                           workers=n_workers,
-                           injections=state.n_injections) as pspan:
+            with self.campaign.profiler.span(
+                    "campaign.parallel", cat="campaign", workers=n_workers,
+                    injections=run.n_injections) as pspan:
                 for wid in range(n_workers):
-                    self._spawn(ctx, state, wid)
+                    self._spawn(ctx, run, wid)
                 try:
-                    self._schedule(state, ctx)
-                    self._stop_fleet(state, _JOIN_TIMEOUT_S)
+                    self._schedule(run, ctx)
+                    self._stop_fleet(run, _JOIN_TIMEOUT_S)
                 except KeyboardInterrupt:
-                    self._graceful_shutdown(state)
-                    raise CampaignInterrupted({
-                        "completed_injections": state.completed_injections,
-                        "n_injections": state.n_injections,
-                        "journal": str(state.journal.path)
-                        if state.journal is not None else None,
-                        "completed_chunks": len(state.done),
-                        "n_chunks": len(state.chunks),
-                    }) from None
-                pspan.annotate(pids=[h.proc.pid for h in state.workers.values()])
+                    try:
+                        self._stop_fleet(run, self.policy.drain_timeout_s)
+                    except KeyboardInterrupt:
+                        pass  # second interrupt: stop draining, terminate now
+                    raise
+                pspan.annotate(pids=[h.proc.pid for h in self.handles.values()])
         finally:
-            for handle in state.workers.values():
+            for handle in self.handles.values():
                 if handle.proc.is_alive():
                     handle.proc.terminate()
                     handle.proc.join(timeout=_JOIN_TIMEOUT_S)
                 handle.conn.close()
 
+    def finish(self, run, wall):
+        """Fold the fleet's recovery ledger into perf; set ``parallel_info``."""
+        campaign = self.campaign
+        handles = list(self.handles.values())
+        with campaign.profiler.span("campaign.merge", cat="campaign",
+                                    workers=len(handles)):
+            perf = campaign.perf
+            perf.chunk_retries += self.chunk_retries
+            perf.chunks_requeued += self.requeued
+            perf.chunks_quarantined += len(run.quarantined)
+            perf.worker_failures += self.worker_failures
+            perf.worker_respawns += self.respawns
+            campaign.parallel_info = {
+                "requested_workers": self.workers,
+                "workers": len(handles),
+                "wall_time_s": wall,
+                "per_worker_injections": [h.injections for h in handles],
+                "per_worker_pids": [int(h.proc.pid) for h in handles],
+                "retries": self.chunk_retries,
+                "requeued_chunks": self.requeued,
+                "quarantined_chunks": len(run.quarantined),
+                "quarantined": [
+                    {"chunk": cid, **info}
+                    for cid, info in sorted(run.quarantined.items())
+                ],
+                "worker_failures": self.worker_failures,
+                "worker_respawns": self.respawns,
+            }
+
+    def _spawn(self, ctx, run, wid):
+        """Fork one worker (initial fleet or respawned replacement)."""
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_worker_main,
+                           args=(self.campaign, wid, child_conn, run),
+                           daemon=True)
+        proc.start()
+        # The worker now holds the only child end: its exit reads as EOF.
+        child_conn.close()
+        self.handles[wid] = _WorkerHandle(wid, proc, conn)
+        self._publish("worker", "spawn", {"wid": wid, "pid": proc.pid})
+
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def _schedule(self, state, ctx):
+    def _outstanding(self, run):
+        """Chunk ids still needing a successful execution."""
+        inflight = {h.current for h in self.handles.values()
+                    if h.current is not None}
+        return (set(self.backlog) | inflight) - run.done - set(run.quarantined)
+
+    def _live_workers(self):
+        """Workers still running and accepting chunks."""
+        return [h for h in self.handles.values() if h.alive and not h.stopped]
+
+    def _requeue(self, cid):
+        """Put a chunk back at the front; the scheduler redispatches it."""
+        self.requeued += 1
+        self.backlog.appendleft(cid)
+
+    def _schedule(self, run, ctx):
         """The parent's event loop: dispatch, results, failures, respawns."""
         policy = self.policy
         respawn_at = None
-        while state.outstanding:
+        while self._outstanding(run):
             if respawn_at is not None and time.monotonic() >= respawn_at:
                 respawn_at = None
-                wid = len(state.workers)
-                self._spawn(ctx, state, wid)
-                state.respawns += 1
+                wid = len(self.handles)
+                self._spawn(ctx, run, wid)
+                self.respawns += 1
                 self._publish("recovery", "worker_respawned",
-                              {"wid": wid, "respawns": state.respawns})
-            for handle in state.live_workers():
-                if handle.current is None and state.backlog:
-                    self._dispatch(handle, state.backlog.popleft())
-            self._pump(state, _POLL_TIMEOUT_S)
-            self._watchdog(state)
-            if (not state.live_workers() and state.outstanding
+                              {"wid": wid, "respawns": self.respawns})
+            for handle in self._live_workers():
+                if handle.current is None and self.backlog:
+                    self._dispatch(handle, self.backlog.popleft())
+            self._pump(run, _POLL_TIMEOUT_S)
+            self._watchdog(run)
+            if (not self._live_workers() and self._outstanding(run)
                     and respawn_at is None):
-                if state.respawns >= policy.max_respawns:
+                if self.respawns >= policy.max_respawns:
+                    unfinished = len(self._outstanding(run))
                     self._publish("recovery", "fleet_exhausted", {
-                        "respawns": state.respawns,
-                        "unfinished_chunks": len(state.outstanding)})
+                        "respawns": self.respawns,
+                        "unfinished_chunks": unfinished})
                     bus = self.campaign.telemetry
                     if bus is not None and getattr(bus, "recorder", None) is not None:
                         bus.dump_flight(
                             "fleet_exhausted",
-                            out_dir=Path(state.journal.path).parent
-                            if state.journal is not None else None)
+                            out_dir=run.journal.path.parent
+                            if run.journal is not None else None)
                     raise RuntimeError(
                         f"campaign fleet exhausted: every worker died, "
-                        f"{state.respawns} respawn(s) already used "
+                        f"{self.respawns} respawn(s) already used "
                         f"(RecoveryPolicy.max_respawns={policy.max_respawns}), "
-                        f"{len(state.outstanding)} chunk(s) unfinished"
+                        f"{unfinished} chunk(s) unfinished"
                         + (f"; completed work is journaled at "
-                           f"{state.journal.path}" if state.journal else ""))
-                backoff = policy.respawn_backoff_s * (2 ** state.respawns)
+                           f"{run.journal.path}" if run.journal else ""))
+                backoff = policy.respawn_backoff_s * (2 ** self.respawns)
                 respawn_at = time.monotonic() + backoff
 
     @staticmethod
@@ -465,14 +398,14 @@ class ParallelCampaignExecutor:
         except OSError:
             pass  # already dead: the exit scan requeues the unstarted chunk
 
-    def _pump(self, state, timeout):
+    def _pump(self, run, timeout):
         """Wait for worker traffic, handle every message, reap exits.
 
         Each worker writes only its own pipe, so a worker killed mid-send
         tears nothing but that pipe — read here as EOF or a torn message,
         like its process sentinel, and thrown away with the worker.
         """
-        live = [h for h in state.workers.values() if h.alive]
+        live = [h for h in self.handles.values() if h.alive]
         wait([h.conn for h in live] + [h.proc.sentinel for h in live], timeout)
         for handle in live:
             # Exit status first: a worker already dead has written every
@@ -491,26 +424,31 @@ class ParallelCampaignExecutor:
                     # never read this pipe again; shutdown kills the worker.
                     handle.alive = False
                     raise
-                self._on_message(state, handle, msg)
+                self._on_message(run, handle, msg)
             if exited:
-                self._on_exit(state, handle)
+                self._on_exit(run, handle)
 
-    def _on_message(self, state, handle, msg):
+    def _on_message(self, run, handle, msg):
         kind = msg[0]
         if kind == "start":
             handle.started_at = time.monotonic()
         elif kind == "chunk":
-            self._fold(state, handle, *msg[1:])
+            _, cid, record, envelopes = msg
+            handle.started_at = None
+            if handle.current == cid:
+                handle.current = None
+            if run.fold(cid, record, "worker", handle, envelopes):
+                handle.injections += record["injections"]
         elif kind == "chunk_failed":
             handle.current = None
             handle.started_at = None
-            self._chunk_failed(state, msg[1], msg[2])
+            self._chunk_failed(run, msg[1], msg[2])
         elif kind == "fatal":
             # Setup crashed before the task loop; the exit scan reports it
             # and requeues the worker's chunk.
             handle.error = msg[1]
 
-    def _on_exit(self, state, handle):
+    def _on_exit(self, run, handle):
         """A worker's pipe closed: a requested stop, or a death to recover."""
         handle.alive = False
         handle.proc.join(timeout=_JOIN_TIMEOUT_S)
@@ -519,7 +457,7 @@ class ParallelCampaignExecutor:
             self._publish("worker", "exit",
                           {"wid": handle.wid, "pid": handle.proc.pid})
             return
-        state.worker_failures += 1
+        self.worker_failures += 1
         detail = handle.error or f"exit code {handle.proc.exitcode}"
         warnings.warn(
             f"campaign worker {handle.wid} died ({detail}); "
@@ -531,22 +469,22 @@ class ParallelCampaignExecutor:
             cid, handle.current = handle.current, None
             if handle.started_at is None:
                 # Never started: no attempt burned, plain requeue.
-                state.requeue(cid)
+                self._requeue(cid)
             else:
                 self._chunk_failed(
-                    state, cid, f"worker {handle.wid} died "
+                    run, cid, f"worker {handle.wid} died "
                     f"({detail}) while executing the chunk")
 
-    def _watchdog(self, state):
+    def _watchdog(self, run):
         """Kill workers stuck past the per-chunk deadline; retry their chunk."""
         watchdog_s = self.policy.watchdog_s
         if watchdog_s is None:
             return
         now = time.monotonic()
-        for handle in state.live_workers():
+        for handle in self._live_workers():
             if handle.started_at is None or now - handle.started_at <= watchdog_s:
                 continue
-            state.worker_failures += 1
+            self.worker_failures += 1
             cid = handle.current
             warnings.warn(
                 f"campaign worker {handle.wid} exceeded the "
@@ -563,62 +501,26 @@ class ParallelCampaignExecutor:
             handle.alive = False
             handle.current = handle.started_at = None
             self._chunk_failed(
-                state, cid,
+                run, cid,
                 f"watchdog: chunk exceeded {watchdog_s:g}s "
                 f"on worker {handle.wid}")
 
-    def _fold(self, state, handle, cid, record, envelopes):
-        """Fold one completed chunk: the parent's only merge.
-
-        Journals the record durably first, folds its tallies, perf delta,
-        and trace events, then replays the worker's envelope list in the
-        order it was produced: full observe events land in the tracer's
-        plan-ordered buffer (their bus summary is derived here), clean
-        captures, spans, and metrics fold into this process, and bus rows
-        republish with this process's sequence numbers.
-        """
-        handle.started_at = None
-        if handle.current == cid:
-            handle.current = None
-        if cid in state.done or cid in state.quarantined:
-            return  # duplicate completion of a retried chunk; results identical
-        if state.journal is not None:
-            state.journal.write_chunk(cid, record)
-        state.done.add(cid)
-        state.fold_tallies(record)
-        handle.injections += record["injections"]
-        bus = self.campaign.telemetry
-        prof = self.campaign.profiler
-        for source, kind, data, worker in envelopes:
-            if source == "profile":
-                if kind == "spans":
-                    prof.adopt_spans(data, pid=handle.proc.pid,
-                                     process_name=f"repro.worker[{handle.wid}]")
-                else:
-                    prof.metrics.merge_snapshot(data)
-                continue
-            if source == "observe":
-                if kind == "captures":
-                    state.tracer.clean_captures += data
-                    continue
-                state.tracer.adopt(data)
-                data = injection_summary(data)
-            if bus is not None:
-                bus.publish(source, kind, data, worker=worker)
-        if state.progress is not None:
-            state.progress(state.completed_injections, state.n_injections)
-
-    def _chunk_failed(self, state, cid, detail):
+    def _chunk_failed(self, run, cid, detail):
         """One failed execution attempt: retry or quarantine."""
-        if cid in state.done or cid in state.quarantined:
+        if cid in run.done or cid in run.quarantined:
             return
-        state.attempts[cid] = state.attempts.get(cid, 0) + 1
-        state.chunk_retries += 1
-        if state.attempts[cid] >= self.policy.max_chunk_attempts:
-            state.chunk_retries -= 1  # the terminal attempt is not retried
-            state.quarantine(cid, detail)
+        self.attempts[cid] = self.attempts.get(cid, 0) + 1
+        self.chunk_retries += 1
+        if self.attempts[cid] >= self.policy.max_chunk_attempts:
+            self.chunk_retries -= 1  # the terminal attempt is not retried
+            run.quarantined[cid] = {
+                "layer": None,
+                "positions": None,
+                "injections": len(run.chunks[cid]),
+                "error": detail,
+            }
             self._publish("recovery", "chunk_quarantined", {
-                "chunk": cid, "attempts": state.attempts[cid],
+                "chunk": cid, "attempts": self.attempts[cid],
                 "error": detail.splitlines()[-1] if detail else detail})
             warnings.warn(
                 f"chunk {cid} quarantined after "
@@ -627,174 +529,20 @@ class ParallelCampaignExecutor:
                 RuntimeWarning, stacklevel=3)
         else:
             self._publish("recovery", "chunk_requeued", {
-                "chunk": cid, "attempts": state.attempts[cid]})
-            state.requeue(cid)
+                "chunk": cid, "attempts": self.attempts[cid]})
+            self._requeue(cid)
 
-    def _stop_fleet(self, state, timeout_s):
+    def _stop_fleet(self, run, timeout_s):
         """Stop every worker after its current chunk; fold until they exit."""
-        for handle in state.live_workers():
+        for handle in self._live_workers():
             handle.stopped = True
             try:
                 handle.conn.send(None)
             except OSError:
                 pass  # already dead: its pipe reads as EOF below
         deadline = time.monotonic() + timeout_s
-        while any(h.alive for h in state.workers.values()):
+        while any(h.alive for h in self.handles.values()):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return
-            self._pump(state, min(_POLL_TIMEOUT_S, remaining))
-
-    def _graceful_shutdown(self, state):
-        """Drain in-flight chunks, then flush the journal and observe sink."""
-        try:
-            self._stop_fleet(state, self.policy.drain_timeout_s)
-        except KeyboardInterrupt:
-            pass  # second interrupt: stop draining, terminate now
-        finally:
-            if state.journal is not None:
-                state.journal.close()
-            observer = self.campaign.observer
-            if observer is not None and hasattr(observer.sink, "flush"):
-                observer.sink.flush()
-
-    # ------------------------------------------------------------------ #
-    # Merge
-    # ------------------------------------------------------------------ #
-
-    def _merge(self, state, confidence, wall, trace):
-        """Turn the folded fleet state into serial-equivalent results."""
-        campaign = self.campaign
-        prof = campaign.profiler
-        workers = list(state.workers.values())
-        with prof.span("campaign.merge", cat="campaign", workers=len(workers)):
-            perf = campaign.perf
-            perf.chunk_retries += state.chunk_retries
-            perf.chunks_requeued += state.requeued
-            perf.chunks_quarantined += len(state.quarantined)
-            perf.worker_failures += state.worker_failures
-            perf.worker_respawns += state.respawns
-            # Republishes merged perf into prof.metrics, fixing the derived
-            # rate gauges the snapshot merge cannot reconstruct.
-            campaign._finalize_perf(state.completed_injections, wall)
-            if trace is not None:
-                for p in sorted(state.trace_events):
-                    trace.record(**state.trace_events[p])
-        # A quarantined chunk leaves completed < total, so the heartbeat's
-        # own final-tick bypass never fires; force its terminal line.
-        _finish_progress(state.progress, state.completed_injections,
-                         state.n_injections)
-        bus = campaign.telemetry
-        if (bus is not None and state.quarantined
-                and getattr(bus, "recorder", None) is not None):
-            bus.dump_flight(
-                "quarantine",
-                out_dir=Path(state.journal.path).parent
-                if state.journal is not None else None)
-        campaign.parallel_info = {
-            "requested_workers": self.workers,
-            "workers": len(workers),
-            "wall_time_s": wall,
-            "per_worker_injections": [h.injections for h in workers],
-            "per_worker_pids": [int(h.proc.pid) for h in workers],
-            "retries": state.chunk_retries,
-            "requeued_chunks": state.requeued,
-            "quarantined_chunks": len(state.quarantined),
-            "quarantined": [
-                {"chunk": cid, **info}
-                for cid, info in sorted(state.quarantined.items())
-            ],
-            "worker_failures": state.worker_failures,
-            "worker_respawns": state.respawns,
-        }
-        result = CampaignResult(
-            network=campaign.network_name,
-            criterion=campaign.criterion_name,
-            injections=state.completed_injections,
-            corruptions=state.corrupted_total,
-            confidence=confidence,
-            per_layer_injections=state.per_layer_inj,
-            per_layer_corruptions=state.per_layer_cor,
-        )
-        if state.journal is not None:
-            if not state.quarantined:
-                state.journal.write_footer(result)
-                self._publish("recovery", "journal_complete", {
-                    "path": str(state.journal.path),
-                    "chunks_written": int(state.journal.records_written),
-                })
-            state.journal.close()
-        if state.tracer is not None:
-            state.tracer.finish(campaign, result)
-        return result
-
-
-class _FleetState:
-    """Every accumulator one parallel run threads through its phases."""
-
-    def __init__(self, campaign, chunks, plan, n_injections, journal, tracer,
-                 progress, record_events):
-        self.campaign = campaign
-        self.chunks = chunks
-        self.plan = plan
-        self.n_injections = n_injections
-        self.journal = journal
-        self.tracer = tracer
-        self.progress = progress
-        self.record_events = record_events
-        self.per_layer_inj = np.zeros(campaign.fi.num_layers, dtype=np.int64)
-        self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
-        self.corrupted_total = 0
-        self.completed_injections = 0
-        self.trace_events = {}
-        self.backlog = deque(range(len(chunks)))
-        self.done = set()
-        self.quarantined = {}
-        self.attempts = {}
-        self.workers = {}
-        self.chunk_retries = 0
-        self.requeued = 0
-        self.worker_failures = 0
-        self.respawns = 0
-
-    @property
-    def outstanding(self):
-        """Chunk ids still needing a successful execution."""
-        inflight = {h.current for h in self.workers.values()
-                    if h.current is not None}
-        return (set(self.backlog) | inflight) - self.done - set(self.quarantined)
-
-    def live_workers(self):
-        """Workers still running and accepting chunks."""
-        return [h for h in self.workers.values() if h.alive and not h.stopped]
-
-    def requeue(self, cid):
-        """Put a chunk back at the front; the scheduler redispatches it."""
-        self.requeued += 1
-        self.backlog.appendleft(cid)
-
-    def quarantine(self, cid, detail):
-        self.quarantined[cid] = {
-            "layer": None,
-            "positions": None,
-            "injections": len(self.chunks[cid]),
-            "error": detail,
-        }
-
-    def fold_journaled(self, cid, record):
-        """Replay one journaled chunk record into the accumulators."""
-        self.done.add(cid)
-        try:
-            self.backlog.remove(cid)
-        except ValueError:
-            pass
-        self.fold_tallies(record)
-
-    def fold_tallies(self, record):
-        recovery_mod.fold_chunk_tallies(record, self.per_layer_inj,
-                                        self.per_layer_cor)
-        self.corrupted_total += record["corruptions"]
-        self.completed_injections += record["injections"]
-        recovery_mod.apply_chunk_perf(self.campaign, record["perf"])
-        for p, event in recovery_mod.chunk_record_events(record).items():
-            self.trace_events[p] = event
+            self._pump(run, min(_POLL_TIMEOUT_S, remaining))

@@ -20,6 +20,7 @@ whether lanes are packed or not.
 
 from __future__ import annotations
 
+import signal
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -30,12 +31,16 @@ import numpy as np
 from ..core import FaultInjection, SingleBitFlip
 from ..core.fault_injection import NeuronSite, WeightSite
 from ..core.injectors import _quant_for_layer, random_neuron_locations, random_weight_locations
+from ..observe.events import injection_summary
 from ..perf import CampaignPerfCounters
 from ..profile.heartbeat import _finish_progress, coerce_progress
 from ..profile.profiler import coerce_profiler
+from ..telemetry import coerce_bus
 from ..tensor import Tensor, no_grad
 from ..tensor import rng as _rng
+from . import recovery as recovery_mod
 from .criteria import as_criterion
+from .parallel import worker_fleet
 from .resume import DEFAULT_BUDGET_BYTES, CampaignResumeEngine
 from .stats import Proportion
 from .trace import margin
@@ -199,15 +204,16 @@ class InjectionCampaign:
                 modules = [m for _, m in self.fi._iter_instrumentable(self._work_model)]
                 self._lane_groups = [seg.segment_of(m) for m in modules]
         # Resident (persistent) weight faults — see repro.scenario.  The
-        # active set lives here for the duration of one run() so nested
-        # dispatches (parallel fallback) and the journal fingerprint see
-        # it; the fingerprint of the set the resume cache was captured
-        # under persists across runs to drive invalidation.
+        # active set lives here for the duration of one run() so forked
+        # workers and the journal fingerprint see it; the fingerprint of
+        # the set the resume cache was captured under persists across runs
+        # to drive invalidation.
         self._resident_active = None
         self._resident_cache_key = None
-        # Cache/capture work done by parallel workers (their private forked
-        # engines) never advances this process's engine counters; the deltas
-        # accumulate here so ``perf`` reports fleet totals either way.
+        # Cache/capture work done elsewhere — by parallel workers (their
+        # private forked engines) or by the run a journal replays — never
+        # advances this process's engine counters; the deltas accumulate
+        # here so ``perf`` reports totals either way.
         self._parallel_deltas = CampaignPerfCounters()
         self.parallel_info = None  # set by parallel runs, see campaign.parallel
         with self.profiler.span("campaign.pool", cat="campaign", pool_size=pool_size):
@@ -393,135 +399,111 @@ class InjectionCampaign:
         finally:
             self.fi.reset()
 
-    def _execute_plan(self, chunks, pool_idx, layers, coords, seeds, *,
-                      observer=None, events=None, on_progress=None,
-                      on_chunk=None, chunk_ids=None):
-        """Execute ``chunks`` of an upfront plan; returns per-layer tallies.
+    def _run_chunk(self, run, cid):
+        """Execute chunk ``cid`` of ``run``'s plan; return its journal record.
 
-        The shared execution core of the serial path and each parallel
-        worker (which runs it over its shard of the chunk list): every
-        random decision is already in the plan arrays, so this method draws
-        from no generator and its results depend only on ``chunks``.
+        The one chunk runner of both executors: the parent calls it inline
+        and each forked worker calls it per dispatched chunk.  Every random
+        decision is already in the plan arrays, so this method draws from
+        no generator and its record depends only on the chunk.
 
-        ``events``, when not None, is a mutable mapping (list or dict)
-        filled with one trace-event dict per plan position.
-
-        ``on_chunk(chunk_id, info)``, when set, fires after every chunk
-        with a JSON-serialisable completion record — layer, positions,
-        injection/corruption counts, the chunk's perf-counter deltas, and
-        (when tracing) its trace events.  The journal writer and the
-        parallel workers' per-chunk reports are both built from it;
-        ``chunk_ids`` names each chunk's global plan id (defaults to its
-        position in ``chunks``).  Returns ``(per_layer_injections,
-        per_layer_corruptions, corrupted_total)``.
+        The record is JSON-serialisable: layer, positions, injection and
+        corruption counts, per-lane ``[layer, corrupted]`` tallies, the
+        chunk's perf-counter deltas and, when the run records them, its
+        trace events keyed by plan position.
         """
-        from . import recovery as recovery_mod
-
+        positions = run.chunks[cid]
+        pool_idx, layers, coords, seeds = run.plan
+        observer = run.tracer
         prof = self.profiler
         chunk_hist = prof.metrics.histogram(
             "campaign.chunk_seconds", help="wall clock per injection chunk"
         ) if prof.enabled else None
         cache = self._resume.cache if self._resume is not None else None
-        per_layer_inj = np.zeros(self.fi.num_layers, dtype=np.int64)
-        per_layer_cor = np.zeros(self.fi.num_layers, dtype=np.int64)
-        corrupted_total = 0
-        for ci, positions in enumerate(chunks):
-            layer_idx = int(layers[positions[0]])
-            idx = pool_idx[positions]
-            perf_before = (recovery_mod.perf_snapshot(self)
-                           if on_chunk is not None else None)
-            corrupted_before = corrupted_total
-            cache_before = (
-                (cache.hits, cache.misses, cache.evictions)
-                if cache is not None and prof.enabled else None
-            )
-            with prof.span("campaign.chunk", cat="campaign", layer=layer_idx,
-                           injections=len(positions)) as chunk_span:
-                chunk_started = time.perf_counter()
-                logits, resumed = self._execute_chunk(
-                    layer_idx, positions, pool_idx, coords, seeds,
-                    observer=observer, layers=layers)
-                chunk_elapsed = time.perf_counter() - chunk_started
-                chunk_span.annotate(resumed=resumed)
-                if cache_before is not None:
-                    chunk_span.annotate(
-                        cache_hits=cache.hits - cache_before[0],
-                        cache_misses=cache.misses - cache_before[1],
-                        cache_evictions=cache.evictions - cache_before[2])
-            if chunk_hist is not None:
-                chunk_hist.observe(chunk_elapsed)
-            self.perf.forwards += 1
-            self.perf.forwards_saved += len(positions) - 1
-            self.perf.resumed_forwards += int(resumed)
-            flags = self.criterion(logits, self.pool_labels[idx], self.pool_logits[idx])
-            if events is not None:
-                margins_before = margin(self.pool_logits[idx], self.pool_labels[idx])
-                margins_after = margin(logits, self.pool_labels[idx])
-            for b, p in enumerate(positions):
-                per_layer_inj[int(layers[p])] += 1
-                if flags[b]:
-                    per_layer_cor[int(layers[p])] += 1
-                    corrupted_total += 1
-                if events is not None:
-                    events[p] = dict(
-                        layer=int(layers[p]),
-                        coords=coords[p],
-                        batch_slot=b,
-                        label=int(self.pool_labels[idx][b]),
-                        predicted=int(logits[b].argmax()),
-                        corrupted=bool(flags[b]),
-                        margin_before=float(margins_before[b]),
-                        margin_after=float(margins_after[b]),
-                    )
-            if observer is not None:
-                with prof.span("campaign.observe", cat="campaign",
-                               phase="record", layer=layer_idx):
-                    observer.record_chunk(
-                        positions=positions,
-                        layer_idx=layer_idx,
-                        layers=[int(layers[p]) for p in positions],
-                        pool_indices=[int(i) for i in idx],
-                        coords=[coords[p] for p in positions],
-                        seeds=[int(seeds[p]) for p in positions],
-                        labels=self.pool_labels[idx],
-                        clean_predicted=self.pool_logits[idx].argmax(axis=1),
-                        logits=logits,
-                        flags=flags,
-                        resumed=resumed,
-                        latency_s=chunk_elapsed,
-                    )
-            if self.telemetry is not None:
-                self.telemetry.publish("campaign", "chunk", {
-                    "chunk": int(chunk_ids[ci]) if chunk_ids is not None else ci,
-                    "layer": layer_idx,
-                    "injections": len(positions),
-                    "lanes": len(positions),
-                    "corruptions": int(corrupted_total - corrupted_before),
-                    "resumed": bool(resumed),
-                    "elapsed_s": float(chunk_elapsed),
-                })
-            if on_chunk is not None:
-                info = {
-                    "layer": layer_idx,
-                    "positions": [int(p) for p in positions],
-                    "injections": len(positions),
-                    "corruptions": int(corrupted_total - corrupted_before),
-                    # Per-lane [layer, corrupted] pairs: lane-packed chunks
-                    # may mix layers, so per-layer tallies fold from these.
-                    "tallies": [[int(layers[p]), int(bool(flags[b]))]
-                                for b, p in enumerate(positions)],
-                    "perf": recovery_mod.perf_delta(self, perf_before),
-                }
-                if events is not None:
-                    info["trace_events"] = [
-                        [int(p), {**events[p],
-                                  "coords": [int(c) for c in events[p]["coords"]]}]
-                        for p in positions
-                    ]
-                on_chunk(chunk_ids[ci] if chunk_ids is not None else ci, info)
-            if on_progress is not None:
-                on_progress(len(positions))
-        return per_layer_inj, per_layer_cor, corrupted_total
+        layer_idx = int(layers[positions[0]])
+        idx = pool_idx[positions]
+        perf_before = recovery_mod.perf_snapshot(self)
+        cache_before = (
+            (cache.hits, cache.misses, cache.evictions)
+            if cache is not None and prof.enabled else None
+        )
+        with prof.span("campaign.chunk", cat="campaign", layer=layer_idx,
+                       injections=len(positions)) as chunk_span:
+            chunk_started = time.perf_counter()
+            logits, resumed = self._execute_chunk(
+                layer_idx, positions, pool_idx, coords, seeds,
+                observer=observer, layers=layers)
+            chunk_elapsed = time.perf_counter() - chunk_started
+            chunk_span.annotate(resumed=resumed)
+            if cache_before is not None:
+                chunk_span.annotate(
+                    cache_hits=cache.hits - cache_before[0],
+                    cache_misses=cache.misses - cache_before[1],
+                    cache_evictions=cache.evictions - cache_before[2])
+        if chunk_hist is not None:
+            chunk_hist.observe(chunk_elapsed)
+        self.perf.forwards += 1
+        self.perf.forwards_saved += len(positions) - 1
+        self.perf.resumed_forwards += int(resumed)
+        labels = self.pool_labels[idx]
+        flags = self.criterion(logits, labels, self.pool_logits[idx])
+        # Per-lane [layer, corrupted] pairs: lane-packed chunks may mix
+        # layers, so per-layer tallies fold from these.
+        tallies = [[int(layers[p]), int(bool(flags[b]))]
+                   for b, p in enumerate(positions)]
+        corruptions = sum(corrupted for _, corrupted in tallies)
+        if observer is not None:
+            with prof.span("campaign.observe", cat="campaign",
+                           phase="record", layer=layer_idx):
+                observer.record_chunk(
+                    positions=positions,
+                    layer_idx=layer_idx,
+                    layers=[int(layers[p]) for p in positions],
+                    pool_indices=[int(i) for i in idx],
+                    coords=[coords[p] for p in positions],
+                    seeds=[int(seeds[p]) for p in positions],
+                    labels=labels,
+                    clean_predicted=self.pool_logits[idx].argmax(axis=1),
+                    logits=logits,
+                    flags=flags,
+                    resumed=resumed,
+                    latency_s=chunk_elapsed,
+                )
+        if self.telemetry is not None:
+            self.telemetry.publish("campaign", "chunk", {
+                "chunk": int(cid),
+                "layer": layer_idx,
+                "injections": len(positions),
+                "lanes": len(positions),
+                "corruptions": corruptions,
+                "resumed": bool(resumed),
+                "elapsed_s": float(chunk_elapsed),
+            })
+        record = {
+            "layer": layer_idx,
+            "positions": [int(p) for p in positions],
+            "injections": len(positions),
+            "corruptions": corruptions,
+            "tallies": tallies,
+            "perf": recovery_mod.perf_delta(self, perf_before),
+        }
+        if run.record_events:
+            margins_before = margin(self.pool_logits[idx], labels)
+            margins_after = margin(logits, labels)
+            record["trace_events"] = [
+                [int(p), dict(
+                    layer=int(layers[p]),
+                    coords=[int(c) for c in coords[p]],
+                    batch_slot=b,
+                    label=int(labels[b]),
+                    predicted=int(logits[b].argmax()),
+                    corrupted=bool(flags[b]),
+                    margin_before=float(margins_before[b]),
+                    margin_after=float(margins_after[b]),
+                )]
+                for b, p in enumerate(positions)
+            ]
+        return record
 
     def _finalize_perf(self, n_injections, elapsed_s):
         """Fold one run's execution into the lifetime ``perf`` counters.
@@ -578,6 +560,15 @@ class InjectionCampaign:
             workers=1, journal=None, recovery=None, resident=None, telemetry=None):
         """Perform ``n_injections`` randomized injections; aggregate results.
 
+        One driver serves every run: it draws the plan, chunks it, opens
+        the journal, folds journaled chunks, executes the pending ones, and
+        assembles the result.  Chunks execute *inline* (one at a time in
+        this process) or on a forked worker fleet
+        (:class:`~repro.campaign.parallel.ParallelCampaignExecutor`).
+        Either way each completed chunk comes back as one journal record
+        and folds into the run through one function, exactly like a chunk
+        replayed from the journal.
+
         Pass an :class:`~repro.campaign.trace.InjectionTrace` as ``trace``
         to record one :class:`InjectionEvent` per injection (layer, coords,
         outcome, decision-margin erosion); events are emitted in plan
@@ -595,15 +586,13 @@ class InjectionCampaign:
         injections/sec, cache hit rate, and ETA to stderr at a fixed
         interval.
 
-        ``workers=N`` (N > 1) shards the plan's chunks across N fork-based
-        worker processes via
-        :class:`~repro.campaign.parallel.ParallelCampaignExecutor`.  The
-        plan is drawn in this process with the exact generator consumption
-        of a serial run and every injection carries a pinned seed, so
-        outcomes, per-layer vulnerability, and telemetry events are
-        bitwise-identical to ``workers=1`` — only wall clock changes.  On
-        platforms without ``fork`` the campaign falls back to serial with a
-        :class:`RuntimeWarning`.
+        ``workers=N`` (N > 1) dispatches the plan's chunks to N fork-based
+        worker processes.  The plan is drawn in this process with the
+        exact generator consumption of an inline run and every injection
+        carries a pinned seed, so outcomes, per-layer vulnerability, and
+        telemetry events are bitwise-identical to ``workers=1`` — only
+        wall clock changes.  On platforms without ``fork`` the chunks run
+        inline with a :class:`RuntimeWarning`.
 
         ``journal=`` names a crash-consistent write-ahead log
         (:mod:`repro.campaign.recovery`): every completed chunk is
@@ -614,7 +603,12 @@ class InjectionCampaign:
         for a different plan or model is rejected with
         :class:`~repro.campaign.recovery.JournalMismatchError`.
 
-        ``recovery=`` (parallel runs only) is a
+        SIGINT, and SIGTERM when this runs on the main thread, interrupt
+        the run gracefully on either executor: the journal is closed, the
+        observe sink flushed, and :class:`CampaignInterrupted` raised with
+        a ``partial`` progress summary.
+
+        ``recovery=`` (fleet runs only) is a
         :class:`~repro.campaign.recovery.RecoveryPolicy` (or kwargs dict)
         tuning chunk retry, worker respawn, the per-chunk watchdog, and
         graceful-shutdown draining.
@@ -648,179 +642,243 @@ class InjectionCampaign:
             workers = 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        from ..telemetry import coerce_bus
+        from ..observe import coerce_tracer
 
-        # A nested dispatch (the parallel executor's serial fallback) runs
-        # inside the outer call's resident session; don't re-enter it.
-        nested = resident is None and self._resident_active is not None
-        if not nested:
-            self._begin_resident_session(resident)
-        # Same nesting rule for the bus: the outer call owns the lifecycle
-        # events and the flight dump; a nested dispatch publishes through
-        # the already-attached bus without re-announcing the run.
-        bus = coerce_bus(telemetry)
-        owns_bus = not (bus is None and self.telemetry is not None)
-        if owns_bus:
-            self.telemetry = bus
-        tel = self.telemetry
-        recorder = getattr(tel, "recorder", None) if owns_bus else None
+        progress = coerce_progress(progress, self)
+        fleet = worker_fleet(self, workers, recovery)
+        self._begin_resident_session(resident)
+        self.telemetry = bus = coerce_bus(telemetry)
+        recorder = getattr(bus, "recorder", None)
         # Failure sites closer to the fault (fleet-exhausted, quarantine)
         # dump the flight recorder themselves with a sharper reason; the
-        # mark keeps this outer catch-all from dumping a second time.
+        # mark keeps the catch-all below from dumping a second time.
         dump_mark = len(recorder.dumps) if recorder is not None else None
-        if tel is not None and owns_bus:
-            tel.publish("campaign", "run_start", {
+        flight_dir = Path(journal).parent if journal is not None else None
+        if bus is not None:
+            bus.publish("campaign", "run_start", {
                 "network": self.network_name,
                 "n_injections": int(n_injections),
                 "workers": int(workers),
                 "target": self.target,
                 "journal": str(journal) if journal is not None else None,
             })
+        # SIGTERM gets the same graceful treatment as Ctrl-C.  Handlers only
+        # install from the main thread; elsewhere a SIGTERM keeps its
+        # default disposition and the journal still survives (it is
+        # fsync'd per record).
         try:
-            if workers > 1:
-                from .parallel import ParallelCampaignExecutor
-
-                result = ParallelCampaignExecutor(self, workers, recovery=recovery).run(
-                    n_injections, confidence=confidence, progress=progress,
-                    trace=trace, observe=observe, journal=journal)
-            else:
-                # Serial runs get the same graceful SIGTERM treatment as the
-                # parallel executor: map it to KeyboardInterrupt so the
-                # journal footer, partial result, and flight dump all land.
-                # Handlers only install from the main thread; elsewhere the
-                # default disposition stays and the journal still survives.
-                import signal
-
-                from .parallel import _raise_keyboard_interrupt
-                try:
-                    previous_sigterm = signal.signal(
-                        signal.SIGTERM, _raise_keyboard_interrupt)
-                except ValueError:
-                    previous_sigterm = None
-                try:
-                    result = self._run_serial(n_injections, confidence,
-                                              progress, trace, observe,
-                                              journal)
-                finally:
-                    if previous_sigterm is not None:
-                        signal.signal(signal.SIGTERM, previous_sigterm)
-            if tel is not None and owns_bus:
-                tel.publish("campaign", "run_end", {
+            previous_sigterm = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+        except ValueError:
+            previous_sigterm = None
+        tracer = journal_log = None
+        try:
+            tracer = coerce_tracer(observe)
+            if tracer is not None:
+                tracer.attach(self)
+                self.observer = tracer
+            started = time.perf_counter()
+            with self.profiler.span("campaign.plan", cat="campaign",
+                                    injections=n_injections):
+                plan = self._plan(n_injections)
+            chunks = self._chunks(plan[1], n_injections)
+            completed = {}
+            if journal is not None:
+                journal_log, completed = recovery_mod.open_journal(
+                    journal, self, n_injections, plan, len(chunks))
+            # A journal always captures trace events: the run that resumes
+            # it may ask for a trace even if this (interrupted) one did not.
+            run = _CampaignRun(self, n_injections, plan, chunks, journal_log,
+                               tracer, progress,
+                               record_events=trace is not None or journal is not None)
+            if tracer is not None:
+                tracer.begin(self, n_injections)
+            try:
+                for cid, record in completed.items():
+                    run.fold(cid, record, "journal")
+                if run.completed_injections:
+                    if progress is not None:
+                        progress(run.completed_injections, n_injections)
+                    if bus is not None:
+                        bus.publish("campaign", "progress", {
+                            "done": run.completed_injections,
+                            "total": int(n_injections)})
+                if fleet is not None:
+                    fleet.execute(run)
+                else:
+                    for cid in range(len(chunks)):
+                        if cid not in run.done:
+                            run.fold(cid, self._run_chunk(run, cid), "inline")
+            except KeyboardInterrupt:
+                if journal_log is not None:
+                    journal_log.close()
+                if tracer is not None and hasattr(tracer.sink, "flush"):
+                    tracer.sink.flush()
+                raise CampaignInterrupted(run.partial()) from None
+            wall = time.perf_counter() - started
+            if fleet is not None:
+                fleet.finish(run, wall)
+            # Republishes perf into the profiler's metrics, fixing the
+            # derived rate gauges a worker snapshot merge cannot rebuild.
+            self._finalize_perf(run.completed_injections, wall)
+            if trace is not None:
+                for p in sorted(run.trace_events):
+                    trace.record(**run.trace_events[p])
+            # A quarantined chunk leaves completed < total, so the
+            # heartbeat's own final-tick bypass never fires; force its
+            # terminal line.
+            _finish_progress(progress, run.completed_injections, n_injections)
+            if run.quarantined and recorder is not None:
+                bus.dump_flight("quarantine", out_dir=flight_dir)
+            result = CampaignResult(
+                network=self.network_name,
+                criterion=self.criterion_name,
+                injections=run.completed_injections,
+                corruptions=run.corrupted_total,
+                confidence=confidence,
+                per_layer_injections=run.per_layer_inj,
+                per_layer_corruptions=run.per_layer_cor,
+            )
+            if journal_log is not None and not run.quarantined:
+                journal_log.write_footer(result)
+                if bus is not None:
+                    bus.publish("recovery", "journal_complete", {
+                        "path": str(journal_log.path),
+                        "chunks_written": int(journal_log.records_written),
+                    })
+            if tracer is not None:
+                tracer.finish(self, result)
+            if bus is not None:
+                bus.publish("campaign", "run_end", {
                     "injections": int(result.injections),
                     "corruptions": int(result.corruptions),
                 })
             return result
         except BaseException as err:
-            if tel is not None and owns_bus:
+            if bus is not None:
                 reason = ("interrupt" if isinstance(err, KeyboardInterrupt)
                           else type(err).__name__.lower())
-                tel.publish("campaign", "run_aborted",
+                bus.publish("campaign", "run_aborted",
                             {"reason": reason, "error": str(err)})
                 if recorder is not None and len(recorder.dumps) == dump_mark:
-                    out_dir = (Path(journal).parent
-                               if journal is not None else None)
-                    tel.dump_flight(reason, out_dir=out_dir)
+                    bus.dump_flight(reason, out_dir=flight_dir)
             raise
-        finally:
-            if owns_bus:
-                self.telemetry = None
-            if not nested:
-                self._end_resident_session()
-
-    def _run_serial(self, n_injections, confidence, progress, trace, observe,
-                    journal):
-        """The single-process execution path of :meth:`run`."""
-        progress = coerce_progress(progress, self)
-        observer = None
-        if observe is not None and observe is not False:
-            from ..observe import coerce_tracer
-
-            observer = coerce_tracer(observe)
-            observer.attach(self)
-            self.observer = observer
-        started = time.perf_counter()
-        prof = self.profiler
-        with prof.span("campaign.plan", cat="campaign", injections=n_injections):
-            pool_idx, layers, coords, seeds = self._plan(n_injections)
-        chunks = self._chunks(layers, n_injections)
-        journal_log = None
-        completed = {}
-        if journal is not None:
-            from . import recovery as recovery_mod
-
-            journal_log, completed = recovery_mod.open_journal(
-                journal, self, n_injections,
-                (pool_idx, layers, coords, seeds), len(chunks))
-        # A journal always captures trace events: the run that resumes it
-        # may ask for a trace even if this (interrupted) one did not.
-        record_events = trace is not None or journal is not None
-        events = [None] * n_injections if record_events else None
-        done = 0
-
-        def on_progress(k):
-            nonlocal done
-            done += k
-            progress(done, n_injections)
-
-        try:
-            if observer is not None:
-                observer.begin(self, n_injections)
-            # Replay journaled chunks into the tallies without executing
-            # them; their perf records fold in through the same delta
-            # ledger parallel workers use, so a resumed run's counters
-            # match an undisturbed run's exactly.
-            per_layer_inj = np.zeros(self.fi.num_layers, dtype=np.int64)
-            per_layer_cor = np.zeros(self.fi.num_layers, dtype=np.int64)
-            corrupted_total = 0
-            for record in completed.values():
-                recovery_mod.fold_chunk_tallies(record, per_layer_inj,
-                                                per_layer_cor)
-                corrupted_total += record["corruptions"]
-                recovery_mod.apply_chunk_perf(self, record["perf"])
-                if events is not None:
-                    for p, ev in recovery_mod.chunk_record_events(record).items():
-                        events[p] = ev
-                if progress is not None:
-                    on_progress(record["injections"])
-            if self.telemetry is not None and completed:
-                self.telemetry.publish("campaign", "progress", {
-                    "done": int(per_layer_inj.sum()), "total": int(n_injections)})
-            remaining_ids = [i for i in range(len(chunks)) if i not in completed]
-            exec_inj, exec_cor, exec_corrupted = self._execute_plan(
-                [chunks[i] for i in remaining_ids], pool_idx, layers, coords, seeds,
-                observer=observer, events=events,
-                on_progress=on_progress if progress is not None else None,
-                on_chunk=journal_log.write_chunk if journal_log is not None else None,
-                chunk_ids=remaining_ids)
-            per_layer_inj += exec_inj
-            per_layer_cor += exec_cor
-            corrupted_total += exec_corrupted
-            if trace is not None:
-                for event in events:
-                    trace.record(**event)
-            self._finalize_perf(n_injections, time.perf_counter() - started)
-            result = CampaignResult(
-                network=self.network_name,
-                criterion=self.criterion_name,
-                injections=n_injections,
-                corruptions=corrupted_total,
-                confidence=confidence,
-                per_layer_injections=per_layer_inj,
-                per_layer_corruptions=per_layer_cor,
-            )
-            if journal_log is not None:
-                journal_log.write_footer(result)
-                if self.telemetry is not None:
-                    self.telemetry.publish("recovery", "journal_complete", {
-                        "path": str(journal_log.path),
-                        "chunks_written": int(journal_log.records_written),
-                    })
-            if observer is not None:
-                observer.finish(self, result)
-            _finish_progress(progress, n_injections, n_injections)
-            return result
         finally:
             if journal_log is not None:
                 journal_log.close()
-            if observer is not None:
-                observer.detach()
+            if tracer is not None:
+                tracer.detach()
+            if previous_sigterm is not None:
+                signal.signal(signal.SIGTERM, previous_sigterm)
+            self.telemetry = None
+            self._end_resident_session()
+
+
+class _CampaignRun:
+    """One run's plan and accumulators; every completed chunk folds here.
+
+    Inline chunks, worker chunks, and chunks replayed from the journal all
+    reach the result through :meth:`fold` — so a resumed, a parallel, and
+    an undisturbed run add up the same records the same way.
+    """
+
+    def __init__(self, campaign, n_injections, plan, chunks, journal, tracer,
+                 progress, record_events):
+        self.campaign = campaign
+        self.n_injections = n_injections
+        self.plan = plan
+        self.chunks = chunks
+        self.journal = journal
+        self.tracer = tracer
+        self.progress = progress
+        self.record_events = record_events
+        self.per_layer_inj = np.zeros(campaign.fi.num_layers, dtype=np.int64)
+        self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
+        self.corrupted_total = 0
+        self.completed_injections = 0
+        self.trace_events = {}
+        self.done = set()
+        self.quarantined = {}  # chunk id -> failure report (fleet runs)
+
+    def fold(self, cid, record, origin, worker=None, envelopes=()):
+        """Fold one completed chunk record; False for a duplicate completion.
+
+        ``origin`` names where the chunk ran.  ``"inline"``: in this
+        process, whose counters already advanced and whose bus already
+        carries the chunk's events.  ``"worker"``: on the fleet's
+        ``worker`` handle, which shipped ``envelopes`` — the ordered list
+        its telemetry relay collected.  ``"journal"``: in an earlier run;
+        it is neither rewritten to the journal nor ticked as progress.
+
+        The record is journaled durably first; then its tallies, perf
+        delta, and trace events (by plan position) fold in, the worker's
+        envelopes replay in the order they were produced (full observe
+        events land in the tracer's plan-ordered buffer and their bus
+        summary is derived here; clean captures, spans, and metrics fold
+        into this process; bus rows republish with this process's
+        sequence numbers), and the progress reporter ticks.
+        """
+        if cid in self.done or cid in self.quarantined:
+            return False  # a retried chunk's duplicate; results identical
+        campaign = self.campaign
+        if self.journal is not None and origin != "journal":
+            self.journal.write_chunk(cid, record)
+        self.done.add(cid)
+        recovery_mod.fold_chunk_tallies(record, self.per_layer_inj,
+                                        self.per_layer_cor)
+        self.corrupted_total += record["corruptions"]
+        self.completed_injections += record["injections"]
+        if origin != "inline":
+            recovery_mod.apply_chunk_perf(campaign, record["perf"])
+        self.trace_events.update(recovery_mod.chunk_record_events(record))
+        for source, kind, data, wid in envelopes:
+            if source == "profile":
+                if kind == "spans":
+                    campaign.profiler.adopt_spans(
+                        data, pid=worker.proc.pid,
+                        process_name=f"repro.worker[{worker.wid}]")
+                else:
+                    campaign.profiler.metrics.merge_snapshot(data)
+                continue
+            if source == "observe":
+                if kind == "captures":
+                    self.tracer.clean_captures += data
+                    continue
+                self.tracer.adopt(data)
+                data = injection_summary(data)
+            if campaign.telemetry is not None:
+                campaign.telemetry.publish(source, kind, data, worker=wid)
+        if self.progress is not None and origin != "journal":
+            self.progress(self.completed_injections, self.n_injections)
+        return True
+
+    def partial(self):
+        """What an interrupted run completed, for :class:`CampaignInterrupted`."""
+        return {
+            "completed_injections": self.completed_injections,
+            "n_injections": self.n_injections,
+            "journal": str(self.journal.path) if self.journal is not None else None,
+            "completed_chunks": len(self.done),
+            "n_chunks": len(self.chunks),
+        }
+
+
+class CampaignInterrupted(KeyboardInterrupt):
+    """A campaign shut down gracefully on SIGINT/SIGTERM.
+
+    Raised after in-flight chunks drained, the journal and sinks flushed,
+    and every child terminated.  ``partial`` summarises what completed so
+    callers (the CLI, experiment drivers) can report progress and point at
+    the journal for resumption.
+    """
+
+    def __init__(self, partial):
+        self.partial = partial
+        super().__init__(
+            f"campaign interrupted: {partial['completed_injections']}"
+            f"/{partial['n_injections']} injections completed"
+            + (f", journaled to {partial['journal']}" if partial.get("journal")
+               else ""))
+
+
+def _raise_keyboard_interrupt(signum, frame):
+    raise KeyboardInterrupt

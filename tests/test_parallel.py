@@ -1,12 +1,10 @@
 """Tests for repro.campaign.parallel — deterministic multi-process campaigns.
 
-Covers the chunk partitioner's contract (deterministic, contiguous,
-injection-balanced, drops empties), the headline bitwise-equivalence
-guarantee (``workers=N`` == ``workers=1`` for outcomes, per-layer
-vulnerability, merged cache statistics, and the parent RNG stream — for
-every registry classifier at smoke scale), the sharded telemetry merges
-(trace, observe JSONL/memory, metrics, per-pid Chrome-trace lanes), and
-the validation/fallback paths.
+Covers the headline bitwise-equivalence guarantee (``workers=N`` ==
+``workers=1`` for outcomes, per-layer vulnerability, merged cache
+statistics, and the parent RNG stream — for every registry classifier at
+smoke scale), the sharded telemetry merges (trace, observe JSONL/memory,
+metrics, per-pid Chrome-trace lanes), and the validation/fallback paths.
 """
 
 import faulthandler
@@ -27,7 +25,6 @@ from repro.campaign import (
     InjectionCampaign,
     InjectionTrace,
     ParallelCampaignExecutor,
-    partition_chunks,
 )
 from repro.core import SingleBitFlip
 from repro.data import SyntheticClassification
@@ -63,47 +60,6 @@ def _strip_timing(events):
         event.pop("perf", None)
         out.append(event)
     return out
-
-
-class TestPartitionChunks:
-    def _chunks(self, sizes):
-        return [list(range(k)) for k in sizes]
-
-    def test_contiguous_and_complete(self):
-        chunks = self._chunks([3, 1, 4, 1, 5, 9, 2, 6])
-        shards = partition_chunks(chunks, 3)
-        flat = [chunk for shard in shards for chunk in shard]
-        assert flat == chunks  # order preserved, nothing lost or duplicated
-
-    def test_deterministic(self):
-        chunks = self._chunks([2, 7, 1, 8, 2, 8])
-        assert partition_chunks(chunks, 4) == partition_chunks(chunks, 4)
-
-    def test_balanced_by_injections_not_chunks(self):
-        # One huge chunk followed by many small ones: a chunk-count split
-        # would put 3 chunks in each shard; the injection-balanced split
-        # isolates the heavy chunk.
-        chunks = self._chunks([60, 10, 10, 10, 10, 10])
-        shards = partition_chunks(chunks, 2)
-        assert len(shards[0]) == 1
-        totals = [sum(len(c) for c in shard) for shard in shards]
-        assert max(totals) - min(totals) <= 60
-
-    def test_more_workers_than_chunks_drops_empty_shards(self):
-        shards = partition_chunks(self._chunks([4, 4]), 8)
-        assert 1 <= len(shards) <= 2
-        assert all(shard for shard in shards)
-
-    def test_single_worker_is_one_shard(self):
-        chunks = self._chunks([1, 2, 3])
-        assert partition_chunks(chunks, 1) == [chunks]
-
-    def test_no_chunks_yields_no_shards(self):
-        assert partition_chunks([], 4) == []
-
-    def test_invalid_worker_count_raises(self):
-        with pytest.raises(ValueError, match="workers"):
-            partition_chunks(self._chunks([1]), 0)
 
 
 @needs_fork
@@ -150,9 +106,14 @@ class TestParallelEquivalence:
         assert campaign.parallel_info["workers"] <= 16
         assert sum(campaign.parallel_info["per_worker_injections"]) == 8
 
-    @pytest.mark.parametrize("name", REGISTRY)
-    def test_registry_smoke_equivalence(self, name):
-        """Acceptance: workers=4 == workers=1 for every registry classifier."""
+    @pytest.mark.parametrize(
+        "name,strategy",
+        [(name, "proportional") for name in REGISTRY]
+        + [("resnet18", "uniform_layer")],
+        ids=REGISTRY + ["resnet18-uniform_layer"])
+    def test_registry_smoke_equivalence(self, name, strategy):
+        """Acceptance: workers=4 == workers=1 for every registry classifier
+        (and for the per-layer-uniform site sampler)."""
         net = models.get_model(name, "cifar10", scale="smoke", rng=0)
         net.eval()
         dataset = SelfLabelled(
@@ -160,7 +121,7 @@ class TestParallelEquivalence:
         results = {}
         tallies = {}
         for workers in (1, 4):
-            campaign = _campaign(net, dataset)
+            campaign = _campaign(net, dataset, strategy=strategy)
             results[workers] = campaign.run(8, workers=workers)
             tallies[workers] = _perf_tallies(campaign)
         assert results[4].corruptions == results[1].corruptions

@@ -493,19 +493,19 @@ def _science(record):
 class TestInterruptAndResume:
     N = 1200
     CAMPAIGN = ["inject", "alexnet", "--dataset", "cifar10", "--scale", "smoke",
-                "--campaign", str(N), "--batch-size", "1", "--workers", "2",
-                "--json"]
+                "--campaign", str(N), "--batch-size", "1", "--json"]
 
     @pytest.fixture(scope="class")
     def undisturbed(self):
-        proc = _cli(self.CAMPAIGN)
+        proc = _cli(self.CAMPAIGN + ["--workers", "2"])
         out, err = proc.communicate(timeout=600)
         assert proc.returncode == 0, err
         return json.loads(out)
 
-    def _interrupt_then_resume(self, tmp_path, sig):
+    def _interrupt_then_resume(self, tmp_path, sig, workers=2):
+        campaign = self.CAMPAIGN + ["--workers", str(workers)]
         journal = tmp_path / "j.jsonl"
-        proc = _cli(self.CAMPAIGN + ["--journal", str(journal)],
+        proc = _cli(campaign + ["--journal", str(journal)],
                     start_new_session=True)
         try:
             _wait_for_journal(journal, min_chunks=5)
@@ -519,7 +519,7 @@ class TestInterruptAndResume:
         assert interrupted[1], "no chunks were journaled before the signal"
         assert not interrupted[2], "campaign finished before the signal landed"
 
-        resume = _cli(self.CAMPAIGN + ["--journal", str(journal)])
+        resume = _cli(campaign + ["--journal", str(journal)])
         out2, err2 = resume.communicate(timeout=600)
         assert resume.returncode == 0, err2
         record = json.loads(out2)
@@ -529,9 +529,11 @@ class TestInterruptAndResume:
         assert complete and len(chunks) == self.N
         return proc.returncode, out, record
 
+    @pytest.mark.parametrize("workers", [2, 1])
     def test_sigterm_drains_and_resume_matches_undisturbed(self, tmp_path,
-                                                           undisturbed):
-        rc, out, resumed = self._interrupt_then_resume(tmp_path, signal.SIGTERM)
+                                                           undisturbed, workers):
+        rc, out, resumed = self._interrupt_then_resume(tmp_path, signal.SIGTERM,
+                                                       workers)
         # Graceful shutdown: rc 130, a partial-progress JSON record, and no
         # orphan workers (communicate() returning at all proves the parent
         # exited; orphans would have kept its stdout pipe open).
