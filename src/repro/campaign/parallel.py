@@ -43,21 +43,21 @@ the failure handling in this module sound:
   when they notice they have been reparented.
 
 Each worker talks to the parent over one private duplex pipe and sends
-one message per completed chunk: its journal record plus one ordered
-envelope list.  Nothing is shared between workers, so a worker killed
-mid-send corrupts only its own pipe, which the parent reads as EOF and
-discards with the worker.  The parent folds every chunk message through
-the same fold as inline and journaled chunks
-(:meth:`InjectionCampaign.run <repro.campaign.InjectionCampaign.run>`),
-and that fold is order-independent: per-layer tallies are integer sums,
-per-chunk perf deltas add (:meth:`CampaignPerfCounters.merge` and
-:meth:`MetricsRegistry.merge_snapshot` stay associative and commutative),
-observe events are keyed by plan position (``index``) and emitted in
-serial order, a retried chunk's duplicate completion is dropped whole
-(re-executions are bitwise identical), and worker profiler spans become
-per-pid Chrome-trace lanes (``perf_counter`` reads ``CLOCK_MONOTONIC``,
-which is system-wide on Linux, so forked workers share the parent's
-timeline).
+one message per completed chunk: its journal record, its wall time, and
+the ordered rows its private telemetry bus collected.  Nothing is shared
+between workers, so a worker killed mid-send corrupts only its own pipe,
+which the parent reads as EOF and discards with the worker.  The parent
+folds every chunk message through the same fold as inline and journaled
+chunks (:meth:`InjectionCampaign.run
+<repro.campaign.InjectionCampaign.run>`), and that fold is
+order-independent: per-layer tallies and per-chunk perf deltas are
+integer sums, the worker's rows republish on the run's bus, where the
+observe sink buffers events by plan position (``index``) and writes
+them in serial order and the profiler adopts worker spans as per-pid
+Chrome-trace lanes (``perf_counter`` reads ``CLOCK_MONOTONIC``, which is
+system-wide on Linux, so forked workers share the parent's timeline),
+and a retried chunk's duplicate completion is dropped whole
+(re-executions are bitwise identical).
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ def _worker_main(campaign, wid, conn, run):
     the parent, along with the run's propagation tracer, already attached
     to this copy of the model.  Receives chunk ids one at a time over its
     private pipe ``conn`` (``None`` is the stop sentinel) and answers each
-    completed chunk with exactly one ``("chunk", id, record, envelopes)``
-    message: ``record`` is the chunk's journal record and ``envelopes`` the
-    ordered list its :class:`~repro.telemetry.WorkerTelemetryRelay`
-    collected — bus rows, full observe events, clean-capture counts,
-    profiler spans and metrics.  A worker that dies mid-campaign has
-    already shipped everything it completed.  A chunk whose execution
+    completed chunk with exactly one ``("chunk", id, record, elapsed_s,
+    rows)`` message: ``record`` is the chunk's journal record, ``elapsed_s``
+    its wall time, and ``rows`` what the chunk published on this worker's
+    private bus — full observe events, the clean-capture count, and this
+    process's profiler spans tagged with its pid.  A worker that dies
+    mid-campaign has already shipped everything it completed.  A chunk whose execution
     raises is reported as ``chunk_failed`` and the worker moves on; the
     parent decides between retry and quarantine.
     """
@@ -121,13 +121,15 @@ def _worker_main(campaign, wid, conn, run):
     try:
         from ..profile.export import span_records
         from ..profile.profiler import NULL_PROFILER, Profiler
-        from ..telemetry import WorkerTelemetryRelay
+        from ..telemetry import TelemetryBus
 
         # The parent's bus forked along with the campaign, but a
-        # copy-on-write clone of its queues goes nowhere.  The relay
-        # buffers everything this worker reports until the chunk ships.
-        relay = WorkerTelemetryRelay(wid)
-        campaign.telemetry = relay
+        # copy-on-write clone of it goes nowhere.  A private bus collects
+        # everything this worker publishes until the chunk ships.
+        rows = []
+        bus = campaign.telemetry = TelemetryBus()
+        bus.add_consumer(lambda env: rows.append(
+            (env["source"], env["kind"], env["data"], wid)))
         profiling = campaign.profiler.enabled
         campaign.profiler = Profiler() if profiling else NULL_PROFILER
         if campaign._resume is not None:
@@ -156,20 +158,19 @@ def _worker_main(campaign, wid, conn, run):
             return
         conn.send(("start", cid))
         try:
-            record = campaign._run_chunk(run, cid)
+            record, elapsed_s = campaign._run_chunk(run, cid)
             if tracer is not None and tracer.clean_captures:
-                relay.publish("observe", "captures", tracer.clean_captures)
+                bus.publish("observe", "captures", tracer.clean_captures)
             if profiling:
-                relay.publish("profile", "spans", span_records(campaign.profiler))
-                relay.publish("profile", "metrics",
-                              campaign.profiler.metrics.snapshot())
-            conn.send(("chunk", cid, record, relay.take()))
+                bus.publish("profile", "spans", {
+                    "pid": os.getpid(), "spans": span_records(campaign.profiler)})
+            conn.send(("chunk", cid, record, elapsed_s, rows))
         except BaseException:
             conn.send(("chunk_failed", cid, traceback.format_exc()))
         finally:
             # Whatever did not ship (a failed attempt's partial reports)
             # is dropped with the attempt.
-            relay.take()
+            rows.clear()
             campaign.profiler.reset()
             if tracer is not None:
                 tracer.clean_captures = 0
@@ -238,12 +239,6 @@ class ParallelCampaignExecutor:
         """
         return self.campaign.run(n_injections, workers=self.workers,
                                  recovery=self.policy, **kwargs)
-
-    def _publish(self, source, kind, data):
-        """Publish one telemetry envelope if the campaign has a bus."""
-        bus = self.campaign.telemetry
-        if bus is not None:
-            bus.publish(source, kind, data)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -327,7 +322,8 @@ class ParallelCampaignExecutor:
         # The worker now holds the only child end: its exit reads as EOF.
         child_conn.close()
         self.handles[wid] = _WorkerHandle(wid, proc, conn)
-        self._publish("worker", "spawn", {"wid": wid, "pid": proc.pid})
+        self.campaign.telemetry.publish("worker", "spawn",
+                                        {"wid": wid, "pid": proc.pid})
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -358,8 +354,9 @@ class ParallelCampaignExecutor:
                 wid = len(self.handles)
                 self._spawn(ctx, run, wid)
                 self.respawns += 1
-                self._publish("recovery", "worker_respawned",
-                              {"wid": wid, "respawns": self.respawns})
+                self.campaign.telemetry.publish(
+                    "recovery", "worker_respawned",
+                    {"wid": wid, "respawns": self.respawns})
             for handle in self._live_workers():
                 if handle.current is None and self.backlog:
                     self._dispatch(handle, self.backlog.popleft())
@@ -369,15 +366,14 @@ class ParallelCampaignExecutor:
                     and respawn_at is None):
                 if self.respawns >= policy.max_respawns:
                     unfinished = len(self._outstanding(run))
-                    self._publish("recovery", "fleet_exhausted", {
+                    bus = self.campaign.telemetry
+                    bus.publish("recovery", "fleet_exhausted", {
                         "respawns": self.respawns,
                         "unfinished_chunks": unfinished})
-                    bus = self.campaign.telemetry
-                    if bus is not None and getattr(bus, "recorder", None) is not None:
-                        bus.dump_flight(
-                            "fleet_exhausted",
-                            out_dir=run.journal.path.parent
-                            if run.journal is not None else None)
+                    bus.dump_flight(
+                        "fleet_exhausted",
+                        out_dir=run.journal.path.parent
+                        if run.journal is not None else None)
                     raise RuntimeError(
                         f"campaign fleet exhausted: every worker died, "
                         f"{self.respawns} respawn(s) already used "
@@ -433,11 +429,11 @@ class ParallelCampaignExecutor:
         if kind == "start":
             handle.started_at = time.monotonic()
         elif kind == "chunk":
-            _, cid, record, envelopes = msg
+            _, cid, record, elapsed_s, rows = msg
             handle.started_at = None
             if handle.current == cid:
                 handle.current = None
-            if run.fold(cid, record, "worker", handle, envelopes):
+            if run.fold(cid, record, "worker", elapsed_s, rows):
                 handle.injections += record["injections"]
         elif kind == "chunk_failed":
             handle.current = None
@@ -454,15 +450,15 @@ class ParallelCampaignExecutor:
         handle.proc.join(timeout=_JOIN_TIMEOUT_S)
         handle.conn.close()
         if handle.stopped and handle.proc.exitcode == 0:
-            self._publish("worker", "exit",
-                          {"wid": handle.wid, "pid": handle.proc.pid})
+            self.campaign.telemetry.publish(
+                "worker", "exit", {"wid": handle.wid, "pid": handle.proc.pid})
             return
         self.worker_failures += 1
         detail = handle.error or f"exit code {handle.proc.exitcode}"
         warnings.warn(
             f"campaign worker {handle.wid} died ({detail}); "
             f"requeueing its work", RuntimeWarning, stacklevel=2)
-        self._publish("worker", "died", {
+        self.campaign.telemetry.publish("worker", "died", {
             "wid": handle.wid, "pid": handle.proc.pid,
             "detail": detail.splitlines()[-1] if detail else detail})
         if handle.current is not None:
@@ -490,9 +486,9 @@ class ParallelCampaignExecutor:
                 f"campaign worker {handle.wid} exceeded the "
                 f"{watchdog_s:g}s per-chunk watchdog on chunk "
                 f"{cid}; terminating it", RuntimeWarning, stacklevel=2)
-            self._publish("recovery", "watchdog_kill", {
+            self.campaign.telemetry.publish("recovery", "watchdog_kill", {
                 "wid": handle.wid, "chunk": cid, "watchdog_s": watchdog_s})
-            self._publish("worker", "died", {
+            self.campaign.telemetry.publish("worker", "died", {
                 "wid": handle.wid, "pid": handle.proc.pid,
                 "detail": "watchdog"})
             handle.proc.kill()
@@ -519,7 +515,7 @@ class ParallelCampaignExecutor:
                 "injections": len(run.chunks[cid]),
                 "error": detail,
             }
-            self._publish("recovery", "chunk_quarantined", {
+            self.campaign.telemetry.publish("recovery", "chunk_quarantined", {
                 "chunk": cid, "attempts": self.attempts[cid],
                 "error": detail.splitlines()[-1] if detail else detail})
             warnings.warn(
@@ -528,7 +524,7 @@ class ParallelCampaignExecutor:
                 f"{detail.splitlines()[-1] if detail else detail}",
                 RuntimeWarning, stacklevel=3)
         else:
-            self._publish("recovery", "chunk_requeued", {
+            self.campaign.telemetry.publish("recovery", "chunk_requeued", {
                 "chunk": cid, "attempts": self.attempts[cid]})
             self._requeue(cid)
 

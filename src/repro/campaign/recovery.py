@@ -358,19 +358,18 @@ def open_journal(path, campaign, n_injections, plan, n_chunks):
             "batch_size": int(campaign.fi.batch_size),
             "num_layers": int(campaign.fi.num_layers),
         })
-    bus = getattr(campaign, "telemetry", None)
-    if bus is not None:
-        bus.publish("recovery", "journal_open", {
-            "path": str(path),
-            "fresh": header is None,
+    bus = campaign.telemetry
+    bus.publish("recovery", "journal_open", {
+        "path": str(path),
+        "fresh": header is None,
+        "completed_chunks": len(completed),
+        "n_chunks": int(n_chunks),
+    })
+    if completed:
+        bus.publish("recovery", "journal_resume", {
             "completed_chunks": len(completed),
-            "n_chunks": int(n_chunks),
+            "remaining_chunks": int(n_chunks) - len(completed),
         })
-        if completed:
-            bus.publish("recovery", "journal_resume", {
-                "completed_chunks": len(completed),
-                "remaining_chunks": int(n_chunks) - len(completed),
-            })
     return journal, completed
 
 

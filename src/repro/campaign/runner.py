@@ -31,11 +31,10 @@ import numpy as np
 from ..core import FaultInjection, SingleBitFlip
 from ..core.fault_injection import NeuronSite, WeightSite
 from ..core.injectors import _quant_for_layer, random_neuron_locations, random_weight_locations
-from ..observe.events import injection_summary
 from ..perf import CampaignPerfCounters
-from ..profile.heartbeat import _finish_progress, coerce_progress
+from ..profile.heartbeat import ProgressMeter, coerce_progress
 from ..profile.profiler import coerce_profiler
-from ..telemetry import coerce_bus
+from ..telemetry import TelemetryBus, coerce_bus
 from ..tensor import Tensor, no_grad
 from ..tensor import rng as _rng
 from . import recovery as recovery_mod
@@ -166,10 +165,10 @@ class InjectionCampaign:
         self.perf = CampaignPerfCounters()
         self.profiler = coerce_profiler(profiler)
         self.observer = None  # set by run(observe=...), see repro.observe
-        # Live telemetry (repro.telemetry): a TelemetryBus for the duration
-        # of one run() in this process, a WorkerTelemetryRelay inside forked
-        # workers.  Publishing only reads campaign state — outcomes, RNG
-        # stream, and cache statistics are bitwise identical with it on.
+        # The run's telemetry bus (repro.telemetry) for the duration of one
+        # run(); a private one inside each forked worker.  Publishing only
+        # reads campaign state — outcomes, RNG stream, and cache statistics
+        # are bitwise identical with it on.
         self.telemetry = None
         shape = input_shape if input_shape is not None else dataset.input_shape
         self._work_model = model.clone()
@@ -400,7 +399,10 @@ class InjectionCampaign:
             self.fi.reset()
 
     def _run_chunk(self, run, cid):
-        """Execute chunk ``cid`` of ``run``'s plan; return its journal record.
+        """Execute chunk ``cid`` of ``run``'s plan.
+
+        Returns ``(record, elapsed_s)``: the chunk's journal record and its
+        wall time, which the fold publishes but the journal never stores.
 
         The one chunk runner of both executors: the parent calls it inline
         and each forked worker calls it per dispatched chunk.  Every random
@@ -416,9 +418,6 @@ class InjectionCampaign:
         pool_idx, layers, coords, seeds = run.plan
         observer = run.tracer
         prof = self.profiler
-        chunk_hist = prof.metrics.histogram(
-            "campaign.chunk_seconds", help="wall clock per injection chunk"
-        ) if prof.enabled else None
         cache = self._resume.cache if self._resume is not None else None
         layer_idx = int(layers[positions[0]])
         idx = pool_idx[positions]
@@ -440,8 +439,6 @@ class InjectionCampaign:
                     cache_hits=cache.hits - cache_before[0],
                     cache_misses=cache.misses - cache_before[1],
                     cache_evictions=cache.evictions - cache_before[2])
-        if chunk_hist is not None:
-            chunk_hist.observe(chunk_elapsed)
         self.perf.forwards += 1
         self.perf.forwards_saved += len(positions) - 1
         self.perf.resumed_forwards += int(resumed)
@@ -469,16 +466,6 @@ class InjectionCampaign:
                     resumed=resumed,
                     latency_s=chunk_elapsed,
                 )
-        if self.telemetry is not None:
-            self.telemetry.publish("campaign", "chunk", {
-                "chunk": int(cid),
-                "layer": layer_idx,
-                "injections": len(positions),
-                "lanes": len(positions),
-                "corruptions": corruptions,
-                "resumed": bool(resumed),
-                "elapsed_s": float(chunk_elapsed),
-            })
         record = {
             "layer": layer_idx,
             "positions": [int(p) for p in positions],
@@ -503,7 +490,7 @@ class InjectionCampaign:
                 )]
                 for b, p in enumerate(positions)
             ]
-        return record
+        return record, chunk_elapsed
 
     def _finalize_perf(self, n_injections, elapsed_s):
         """Fold one run's execution into the lifetime ``perf`` counters.
@@ -525,6 +512,15 @@ class InjectionCampaign:
             self.perf.cache_bytes = cache.bytes_used + deltas.cache_bytes
         if self.profiler.enabled:
             self.perf.publish(self.profiler.metrics)
+
+    def _cache_hit_rate(self):
+        """Live hit rate over the cache counters ``perf`` reports, or None."""
+        if self._resume is None:
+            return None
+        cache, deltas = self._resume.cache, self._parallel_deltas
+        hits = cache.hits + deltas.cache_hits
+        lookups = hits + cache.misses + deltas.cache_misses
+        return hits / lookups if lookups else None
 
     # ------------------------------------------------------------------ #
     # Resident (persistent) faults
@@ -581,10 +577,10 @@ class InjectionCampaign:
         one telemetry event per injection; observation never changes the
         campaign's outcomes, RNG stream, or cache statistics.
 
-        ``progress`` accepts a ``callable(done, total)``, or ``True`` for
-        the default :class:`~repro.profile.CampaignHeartbeat` printing
-        injections/sec, cache hit rate, and ETA to stderr at a fixed
-        interval.
+        ``progress`` accepts a ``callable(done, total)``, called once per
+        folded chunk, or ``True`` for the default
+        :class:`~repro.profile.CampaignHeartbeat` printing injections/sec,
+        cache hit rate, and ETA to stderr at a fixed interval.
 
         ``workers=N`` (N > 1) dispatches the plan's chunks to N fork-based
         worker processes.  The plan is drawn in this process with the
@@ -623,18 +619,20 @@ class InjectionCampaign:
         and the journal fingerprint pins the set so a journal written for
         a different resident configuration is rejected.
 
-        ``telemetry=`` attaches a live event bus
+        ``telemetry=`` names the run's event bus
         (:class:`~repro.telemetry.TelemetryBus`, or ``True`` for a fresh
-        one with a flight recorder): the run publishes its lifecycle,
-        per-chunk completions, heartbeat ticks, recovery/journal events,
-        worker liveness, and observe events as schema-versioned envelopes
-        any number of consumers (stream server, sampler, flight recorder,
-        ``repro top``) subscribe to.  Publishing never blocks the hot
-        path and never perturbs the science: outcomes, RNG stream, and
-        cache statistics are bitwise identical with telemetry on.  On an
-        abnormal end (interrupt, fleet exhausted, unhandled exception)
-        the attached flight recorder dumps its ring of recent events next
-        to the journal (or into its configured directory).
+        one with a flight recorder); without one the run publishes into a
+        bare bus of its own.  Every producer publishes there — the run's
+        lifecycle, one ``campaign/chunk`` progress envelope per folded
+        chunk, recovery/journal events, worker liveness, observe events —
+        and every reader consumes from there: the progress reporter, the
+        observe sink, the profiler, and whatever the caller attached
+        (stream server, sampler, flight recorder, ``repro top``).
+        Publishing never perturbs the science: outcomes, RNG stream, and
+        cache statistics are bitwise identical with any reader attached.
+        On an abnormal end (interrupt, fleet exhausted, unhandled
+        exception) an attached flight recorder dumps its ring of recent
+        events next to the journal (or into its configured directory).
         """
         if n_injections < 1:
             raise ValueError(f"n_injections must be >= 1, got {n_injections}")
@@ -644,24 +642,16 @@ class InjectionCampaign:
             raise ValueError(f"workers must be >= 1, got {workers}")
         from ..observe import coerce_tracer
 
-        progress = coerce_progress(progress, self)
+        progress = coerce_progress(progress)
         fleet = worker_fleet(self, workers, recovery)
         self._begin_resident_session(resident)
-        self.telemetry = bus = coerce_bus(telemetry)
-        recorder = getattr(bus, "recorder", None)
+        self.telemetry = bus = coerce_bus(telemetry) or TelemetryBus()
+        recorder = bus.recorder
         # Failure sites closer to the fault (fleet-exhausted, quarantine)
         # dump the flight recorder themselves with a sharper reason; the
         # mark keeps the catch-all below from dumping a second time.
         dump_mark = len(recorder.dumps) if recorder is not None else None
         flight_dir = Path(journal).parent if journal is not None else None
-        if bus is not None:
-            bus.publish("campaign", "run_start", {
-                "network": self.network_name,
-                "n_injections": int(n_injections),
-                "workers": int(workers),
-                "target": self.target,
-                "journal": str(journal) if journal is not None else None,
-            })
         # SIGTERM gets the same graceful treatment as Ctrl-C.  Handlers only
         # install from the main thread; elsewhere a SIGTERM keeps its
         # default disposition and the journal still survives (it is
@@ -671,11 +661,26 @@ class InjectionCampaign:
         except ValueError:
             previous_sigterm = None
         tracer = journal_log = None
+        consumers = []
         try:
             tracer = coerce_tracer(observe)
             if tracer is not None:
                 tracer.attach(self)
                 self.observer = tracer
+            # The run's readers, attached for this run only.
+            consumers = [consume for consume in (
+                progress, tracer.consume if tracer is not None else None,
+                self.profiler.consume if self.profiler.enabled else None)
+                if consume is not None]
+            for consume in consumers:
+                bus.add_consumer(consume)
+            bus.publish("campaign", "run_start", {
+                "network": self.network_name,
+                "n_injections": int(n_injections),
+                "workers": int(workers),
+                "target": self.target,
+                "journal": str(journal) if journal is not None else None,
+            })
             started = time.perf_counter()
             with self.profiler.span("campaign.plan", cat="campaign",
                                     injections=n_injections):
@@ -688,26 +693,20 @@ class InjectionCampaign:
             # A journal always captures trace events: the run that resumes
             # it may ask for a trace even if this (interrupted) one did not.
             run = _CampaignRun(self, n_injections, plan, chunks, journal_log,
-                               tracer, progress,
+                               tracer,
                                record_events=trace is not None or journal is not None)
             if tracer is not None:
                 tracer.begin(self, n_injections)
             try:
                 for cid, record in completed.items():
                     run.fold(cid, record, "journal")
-                if run.completed_injections:
-                    if progress is not None:
-                        progress(run.completed_injections, n_injections)
-                    if bus is not None:
-                        bus.publish("campaign", "progress", {
-                            "done": run.completed_injections,
-                            "total": int(n_injections)})
                 if fleet is not None:
                     fleet.execute(run)
                 else:
                     for cid in range(len(chunks)):
                         if cid not in run.done:
-                            run.fold(cid, self._run_chunk(run, cid), "inline")
+                            record, elapsed_s = self._run_chunk(run, cid)
+                            run.fold(cid, record, "inline", elapsed_s)
             except KeyboardInterrupt:
                 if journal_log is not None:
                     journal_log.close()
@@ -717,17 +716,11 @@ class InjectionCampaign:
             wall = time.perf_counter() - started
             if fleet is not None:
                 fleet.finish(run, wall)
-            # Republishes perf into the profiler's metrics, fixing the
-            # derived rate gauges a worker snapshot merge cannot rebuild.
             self._finalize_perf(run.completed_injections, wall)
             if trace is not None:
                 for p in sorted(run.trace_events):
                     trace.record(**run.trace_events[p])
-            # A quarantined chunk leaves completed < total, so the
-            # heartbeat's own final-tick bypass never fires; force its
-            # terminal line.
-            _finish_progress(progress, run.completed_injections, n_injections)
-            if run.quarantined and recorder is not None:
+            if run.quarantined:
                 bus.dump_flight("quarantine", out_dir=flight_dir)
             result = CampaignResult(
                 network=self.network_name,
@@ -740,27 +733,24 @@ class InjectionCampaign:
             )
             if journal_log is not None and not run.quarantined:
                 journal_log.write_footer(result)
-                if bus is not None:
-                    bus.publish("recovery", "journal_complete", {
-                        "path": str(journal_log.path),
-                        "chunks_written": int(journal_log.records_written),
-                    })
+                bus.publish("recovery", "journal_complete", {
+                    "path": str(journal_log.path),
+                    "chunks_written": int(journal_log.records_written),
+                })
             if tracer is not None:
                 tracer.finish(self, result)
-            if bus is not None:
-                bus.publish("campaign", "run_end", {
-                    "injections": int(result.injections),
-                    "corruptions": int(result.corruptions),
-                })
+            bus.publish("campaign", "run_end", {
+                "injections": int(result.injections),
+                "corruptions": int(result.corruptions),
+            })
             return result
         except BaseException as err:
-            if bus is not None:
-                reason = ("interrupt" if isinstance(err, KeyboardInterrupt)
-                          else type(err).__name__.lower())
-                bus.publish("campaign", "run_aborted",
-                            {"reason": reason, "error": str(err)})
-                if recorder is not None and len(recorder.dumps) == dump_mark:
-                    bus.dump_flight(reason, out_dir=flight_dir)
+            reason = ("interrupt" if isinstance(err, KeyboardInterrupt)
+                      else type(err).__name__.lower())
+            bus.publish("campaign", "run_aborted",
+                        {"reason": reason, "error": str(err)})
+            if recorder is not None and len(recorder.dumps) == dump_mark:
+                bus.dump_flight(reason, out_dir=flight_dir)
             raise
         finally:
             if journal_log is not None:
@@ -769,6 +759,8 @@ class InjectionCampaign:
                 tracer.detach()
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
+            for consume in consumers:
+                bus.remove_consumer(consume)
             self.telemetry = None
             self._end_resident_session()
 
@@ -778,19 +770,20 @@ class _CampaignRun:
 
     Inline chunks, worker chunks, and chunks replayed from the journal all
     reach the result through :meth:`fold` — so a resumed, a parallel, and
-    an undisturbed run add up the same records the same way.
+    an undisturbed run add up the same records the same way, and publish
+    the same progress.
     """
 
     def __init__(self, campaign, n_injections, plan, chunks, journal, tracer,
-                 progress, record_events):
+                 record_events):
         self.campaign = campaign
         self.n_injections = n_injections
         self.plan = plan
         self.chunks = chunks
         self.journal = journal
         self.tracer = tracer
-        self.progress = progress
         self.record_events = record_events
+        self.meter = ProgressMeter(n_injections)
         self.per_layer_inj = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.corrupted_total = 0
@@ -799,23 +792,21 @@ class _CampaignRun:
         self.done = set()
         self.quarantined = {}  # chunk id -> failure report (fleet runs)
 
-    def fold(self, cid, record, origin, worker=None, envelopes=()):
+    def fold(self, cid, record, origin, elapsed_s=None, rows=()):
         """Fold one completed chunk record; False for a duplicate completion.
 
-        ``origin`` names where the chunk ran.  ``"inline"``: in this
-        process, whose counters already advanced and whose bus already
-        carries the chunk's events.  ``"worker"``: on the fleet's
-        ``worker`` handle, which shipped ``envelopes`` — the ordered list
-        its telemetry relay collected.  ``"journal"``: in an earlier run;
-        it is neither rewritten to the journal nor ticked as progress.
+        ``origin`` names where the chunk ran: ``"inline"`` in this process
+        (whose counters already advanced), ``"worker"`` on the fleet, or
+        ``"journal"`` in an earlier run (it is not rewritten to the
+        journal).  ``elapsed_s`` is an executed chunk's wall time; ``rows``
+        are the ``(source, kind, data, worker)`` rows a worker's private
+        bus collected while running it.
 
         The record is journaled durably first; then its tallies, perf
         delta, and trace events (by plan position) fold in, the worker's
-        envelopes replay in the order they were produced (full observe
-        events land in the tracer's plan-ordered buffer and their bus
-        summary is derived here; clean captures, spans, and metrics fold
-        into this process; bus rows republish with this process's
-        sequence numbers), and the progress reporter ticks.
+        rows republish verbatim on the run's bus, and one
+        ``campaign/chunk`` envelope reports the chunk with the run's
+        progress.
         """
         if cid in self.done or cid in self.quarantined:
             return False  # a retried chunk's duplicate; results identical
@@ -830,25 +821,26 @@ class _CampaignRun:
         if origin != "inline":
             recovery_mod.apply_chunk_perf(campaign, record["perf"])
         self.trace_events.update(recovery_mod.chunk_record_events(record))
-        for source, kind, data, wid in envelopes:
-            if source == "profile":
-                if kind == "spans":
-                    campaign.profiler.adopt_spans(
-                        data, pid=worker.proc.pid,
-                        process_name=f"repro.worker[{worker.wid}]")
-                else:
-                    campaign.profiler.metrics.merge_snapshot(data)
-                continue
-            if source == "observe":
-                if kind == "captures":
-                    self.tracer.clean_captures += data
-                    continue
-                self.tracer.adopt(data)
-                data = injection_summary(data)
-            if campaign.telemetry is not None:
-                campaign.telemetry.publish(source, kind, data, worker=wid)
-        if self.progress is not None and origin != "journal":
-            self.progress(self.completed_injections, self.n_injections)
+        bus = campaign.telemetry
+        for source, kind, data, wid in rows:
+            bus.publish(source, kind, data, worker=wid)
+        rate, eta = self.meter.update(self.completed_injections,
+                                      executed=origin != "journal")
+        bus.publish("campaign", "chunk", {
+            "chunk": int(cid),
+            "origin": origin,
+            "layer": record["layer"],
+            "injections": record["injections"],
+            "corruptions": record["corruptions"],
+            "resumed": bool(record["perf"].get("resumed_forwards", 0)),
+            "tallies": record.get("tallies"),
+            "elapsed_s": elapsed_s,
+            "done": self.completed_injections,
+            "total": int(self.n_injections),
+            "rate": rate,
+            "eta_s": eta,
+            "cache_hit_rate": campaign._cache_hit_rate(),
+        })
         return True
 
     def partial(self):

@@ -106,8 +106,7 @@ def _telemetry_stop(server, sampler):
 def _telemetry_block(bus, server):
     """The ``telemetry`` block of the machine-readable JSON records."""
     stats = bus.stats()
-    recorder = bus.recorder
-    dump = recorder.last_dump if recorder is not None else None
+    dump = bus.recorder.last_dump
     return {
         "events_published": int(stats["events_published"]),
         "events_dropped": int(stats["events_dropped"]),
@@ -166,6 +165,8 @@ def _profile_runtime(args, model_name):
     if args.stream and not args.campaign:
         print("error: --stream requires --campaign N", file=sys.stderr)
         return 2
+    if args.batch_size is None:
+        args.batch_size = 16 if args.campaign else 1
     try:
         if args.campaign:
             tensor.manual_seed(args.seed)
@@ -202,7 +203,7 @@ def _profile_runtime(args, model_name):
                 meta["workers"] = campaign.parallel_info["workers"]
                 meta["wall_time_s"] = round(
                     campaign.parallel_info["wall_time_s"], 3)
-            if bus is not None:
+            if args.stream:
                 meta["telemetry"] = _telemetry_block(bus, server)
         else:
             _, profiler, meta = profile_model(
@@ -281,7 +282,7 @@ def _inject_campaign(args):
     try:
         # A --stream'ed --json run still drives the heartbeat: progress
         # lines go to stderr, so stdout's one JSON record stays clean
-        # while the socket carries live heartbeat envelopes.
+        # while the socket carries the same progress envelopes.
         result = campaign.run(args.campaign, workers=args.workers,
                               progress=bool(args.stream) or not args.json,
                               journal=args.journal, observe=args.observe,
@@ -660,7 +661,10 @@ def build_parser():
             p.add_argument("--campaign", type=int, default=0, metavar="N",
                            help="profile a small N-injection campaign instead of "
                                 "one forward")
-            p.add_argument("--batch-size", type=int, default=1)
+            p.add_argument("--batch-size", type=int, default=None,
+                           help="injections per forward (default: 16 with "
+                                "--campaign, as inject runs them; else 1, "
+                                "Fig 3's batch)")
             p.add_argument("--out-dir", default="results/profile",
                            help="artifact directory (default: results/profile)")
             p.add_argument("--metrics-out", default=None, metavar="PATH",

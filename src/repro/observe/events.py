@@ -161,12 +161,6 @@ class ObservedInjection:
         )
 
 
-def injection_summary(event):
-    """The compact ``observe``/``injection`` bus envelope of one event dict."""
-    return {key: event[key] for key in ("index", "layer", "outcome", "corrupted",
-                                        "predicted", "label", "resumed")}
-
-
 def build_event(*, index, layer, coords, pool_index, seed, label, clean_predicted,
                 logits_row, corrupted, divergence, num_layers, resumed, latency_s,
                 predicted=None, outcome=None):

@@ -25,6 +25,15 @@ masked.  Design constraints, in order:
 Layers the replay never executes (the skipped prefix of a resumed
 forward) are bit-identical to clean by the fault model, so their absent
 observations are recorded as zero divergence.
+
+Events travel on the campaign's telemetry bus.  The tracer publishes
+every full event as an ``("observe", "injection")`` envelope — into the
+run's bus in this process, into the private bus of a forked worker,
+whose rows the parent's fold republishes verbatim.  Its
+:meth:`consume` is the run's sink writer: it buffers the events by plan
+index (and adds the clean-capture counts workers report) and
+:meth:`finish` writes them in plan order, so a log's bytes do not
+depend on which process ran a chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..telemetry import WorkerTelemetryRelay
 from ..tensor import Tensor, no_grad
 from .events import (
     EVENT_SCHEMA_VERSION,
@@ -45,7 +53,6 @@ from .events import (
     _finite,
     build_event,
     divergence_rows,
-    injection_summary,
 )
 from .sinks import JsonlEventSink, MemorySink
 
@@ -72,7 +79,7 @@ class PropagationTracer:
         self._acts = {}
         self._chunk_clean = None
         self._pool_stacks = {}
-        self._pending = []
+        self._buffer = {}  # plan index -> event, written at finish()
 
     @property
     def events(self):
@@ -121,14 +128,14 @@ class PropagationTracer:
         self._acts = {}
         self._chunk_clean = None
         self._pool_stacks = {}
-        self._pending = []
+        self._buffer = {}
 
     def close(self):
         self.sink.close()
 
     def begin(self, campaign, n_injections):
-        """Size the plan-ordered event buffer and emit the campaign header."""
-        self._pending = [None] * n_injections
+        """Reset the event buffer and emit the campaign header."""
+        self._buffer = {}
         self.sink.emit({
             "type": "campaign_start",
             "v": EVENT_SCHEMA_VERSION,
@@ -141,28 +148,21 @@ class PropagationTracer:
             "resume": campaign._resume is not None,
         })
 
-    def flush_pending(self):
-        """Emit buffered injection events in plan order; returns the count."""
-        flushed = 0
-        for event in self._pending:
-            if event is not None:
-                self.sink.emit(event)
-                flushed += 1
-        self._pending = []
-        self.observed_injections += flushed
-        return flushed
-
-    def adopt(self, event):
-        """Buffer one event a forked worker observed, at its plan position.
-
-        The parallel executor adopts every worker event as its chunk
-        arrives; :meth:`finish` then emits them in serial order.
-        """
-        self._pending[event["index"]] = event
+    def consume(self, envelope):
+        """The sink writer's bus consumer: buffer events, add capture counts."""
+        if envelope["source"] != "observe":
+            return
+        if envelope["kind"] == "injection":
+            self._buffer[envelope["data"]["index"]] = envelope["data"]
+        elif envelope["kind"] == "captures":
+            self.clean_captures += envelope["data"]
 
     def finish(self, campaign, result):
-        """Flush buffered injection events (plan order) and the campaign footer."""
-        self.flush_pending()
+        """Write buffered injection events (plan order) and the campaign footer."""
+        for index in sorted(self._buffer):
+            self.sink.emit(self._buffer[index])
+        self.observed_injections += len(self._buffer)
+        self._buffer = {}
         self.sink.emit(dict(
             type="campaign_end",
             v=EVENT_SCHEMA_VERSION,
@@ -238,10 +238,10 @@ class PropagationTracer:
         """Fold one executed chunk's activations into per-injection events.
 
         Consumes the activations collected under :meth:`observing` and the
-        clean references from :meth:`prepare_chunk`; events are buffered by
-        plan position and written out in :meth:`finish`.  ``layers`` names
+        clean references from :meth:`prepare_chunk`.  ``layers`` names
         each lane's own injection layer when a lane-packed chunk mixes
         layers; it defaults to every lane sitting at ``layer_idx``.
+        Each event is published on the campaign's bus.
         """
         site_layers = (list(layers) if layers is not None
                        else [layer_idx] * len(positions))
@@ -259,14 +259,7 @@ class PropagationTracer:
         logits = np.asarray(logits)
         finite = np.isfinite(logits).all(axis=1)
         argmax = np.nan_to_num(logits, nan=-np.inf).argmax(axis=1)
-        # Live telemetry: one compact envelope per injection through the
-        # campaign's bus.  Publish only reads; the full event still flows
-        # through the sink path.  Inside a forked worker the bus is a relay
-        # and the full event rides home through it instead: the parent
-        # adopts it and publishes the same summary.
-        bus = (getattr(self._campaign, "telemetry", None)
-               if self._campaign is not None else None)
-        relaying = isinstance(bus, WorkerTelemetryRelay)
+        bus = self._campaign.telemetry
         for b, p in enumerate(positions):
             divergence = [
                 LayerDivergence(j, counts[b], _finite(l2[b]), _finite(linf[b]))
@@ -296,13 +289,7 @@ class PropagationTracer:
                 predicted=argmax[b],
                 outcome=outcome,
             )
-            record = event.to_dict()
-            if relaying:
-                bus.publish("observe", "injection", record)
-            else:
-                self._pending[p] = record
-                if bus is not None:
-                    bus.publish("observe", "injection", injection_summary(record))
+            bus.publish("observe", "injection", event.to_dict())
         self._acts = {}
         self._chunk_clean = None
 

@@ -47,11 +47,6 @@ class CampaignPerfCounters:
         return self.injections / self.elapsed_seconds
 
     @property
-    def forwards_run(self):
-        """Perturbed forwards actually executed (alias of ``forwards``)."""
-        return self.forwards
-
-    @property
     def mean_lane_occupancy(self):
         """Average injections realised per executed forward (1.0 = unpacked)."""
         if self.forwards == 0:
@@ -82,37 +77,6 @@ class CampaignPerfCounters:
         resume_enabled = self.resume_enabled
         self.__init__()
         self.resume_enabled = resume_enabled
-        return self
-
-    def merge(self, other):
-        """Fold another counters instance into this one; returns ``self``.
-
-        Every tally adds and ``resume_enabled`` ORs, so merging K worker
-        counter sets is associative and commutative — any merge order
-        yields the same totals.  ``elapsed_seconds`` sums to aggregate
-        *busy* seconds across the merged sources; a parallel executor that
-        wants wall-clock throughput overwrites it with the fleet's wall
-        time after merging.  ``cache_bytes`` also sums: workers report
-        per-cache deltas, so the total is the fleet's growth.
-        """
-        self.injections += other.injections
-        self.elapsed_seconds += other.elapsed_seconds
-        self.forwards += other.forwards
-        self.forwards_saved += other.forwards_saved
-        self.resumed_forwards += other.resumed_forwards
-        self.capture_forwards += other.capture_forwards
-        self.layer_forwards_executed += other.layer_forwards_executed
-        self.layer_forwards_skipped += other.layer_forwards_skipped
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.cache_bytes += other.cache_bytes
-        self.resume_enabled = self.resume_enabled or other.resume_enabled
-        self.chunk_retries += other.chunk_retries
-        self.chunks_requeued += other.chunks_requeued
-        self.chunks_quarantined += other.chunks_quarantined
-        self.worker_failures += other.worker_failures
-        self.worker_respawns += other.worker_respawns
         return self
 
     def publish(self, registry, prefix="campaign"):

@@ -38,7 +38,7 @@ from .export import (
     write_artifacts,
     write_chrome_trace,
 )
-from .heartbeat import CampaignHeartbeat, coerce_progress
+from .heartbeat import CampaignHeartbeat, ProgressMeter, coerce_progress
 from .instrument import instrument, profile_forward, profile_model
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -60,6 +60,7 @@ __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",
+    "ProgressMeter",
     "SNAPSHOT_SCHEMA_VERSION",
     "SUMMARY_SCHEMA_VERSION",
     "Span",

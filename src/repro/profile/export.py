@@ -21,7 +21,7 @@ def span_records(profiler):
 
     The wire format parallel campaign workers ship their trace home in:
     plain dicts with absolute ``perf_counter`` start/end times, adopted by
-    the parent via :meth:`Profiler.adopt_spans` and rendered by
+    the parent's :meth:`Profiler.consume` and rendered by
     :func:`chrome_trace_events` as a per-pid lane.
     """
     return [
@@ -43,7 +43,7 @@ def chrome_trace_events(profiler, pid=1, tid=1):
     """Render every recorded span as a Chrome trace-event ``X`` event.
 
     Spans adopted from other processes (``profiler.foreign_spans``, see
-    :meth:`Profiler.adopt_spans`) share the same time origin and render
+    :meth:`Profiler.consume`) share the same time origin and render
     under their own pid — one Perfetto view shows every lane of a
     multi-process campaign.
     """

@@ -1,151 +1,115 @@
-"""Default campaign progress printer (``campaign.run(..., progress=True)``).
+"""Campaign progress: the one meter and the stderr renderer.
 
-One line per tick on stderr — injections done, throughput, cache hit
-rate, ETA — rate-limited to a fixed wall-clock interval so a million-
-injection campaign does not drown its own log.  The final tick always
-prints exactly once: a normal completion's ``done == total`` tick
-bypasses the rate limit, and executors call :meth:`~CampaignHeartbeat.finish`
-at the end of every run so a campaign that ends short (quarantined
-chunks) still gets its terminal line instead of having it interval-
-suppressed.  ETA is clamped to a finite, non-negative value — a stalled
-rate prints no ETA rather than ``nan`` or a negative count.
-
-When the campaign has a telemetry bus attached
-(:mod:`repro.telemetry`), every printed line is also published as a
-``("heartbeat", "tick")`` envelope with the same numbers, so ``repro
-top`` and stderr can never disagree.
-
-The heartbeat only *reads* campaign state (live cache tallies, counts);
-it draws from no RNG and mutates nothing, keeping the progress path under
-the same invariance bar as the profiler and the observer.
+The fold of :meth:`InjectionCampaign.run
+<repro.campaign.InjectionCampaign.run>` publishes one
+``("campaign", "chunk")`` envelope per folded chunk, carrying the run's
+``done``/``total`` and what :class:`ProgressMeter` computes there:
+injections/sec, a finite non-negative ETA, and the cache-hit rate.  The
+stderr heartbeat, ``progress(done, total)`` callables, the telemetry
+sampler and ``repro top`` all read those envelopes, so they agree.
+Readers only read: no RNG draws, no campaign state touched.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 
 
-class CampaignHeartbeat:
-    """A ``progress(done, total)`` callable with throughput/cache/ETA."""
+class ProgressMeter:
+    """Injections/sec and ETA of one run, fed the fold's running count.
 
-    def __init__(self, campaign=None, interval_s=1.0, stream=None, clock=time.perf_counter):
-        self.campaign = campaign
+    The rate is measured from the first *executed* chunk: its fold
+    anchors the clock, and later chunks measure marginal throughput.
+    Chunks replayed from a journal do not count as executed, so a
+    resumed run's rate is what this process achieves.
+    """
+
+    def __init__(self, total, clock=time.perf_counter):
+        self.total = int(total)
+        self.clock = clock
+        self._anchor = None  # (time, done) at the first executed chunk
+
+    def update(self, done, executed):
+        """``(rate, eta_s)`` after a chunk folds; ``eta_s`` is None at rate 0."""
+        now = self.clock()
+        if executed and self._anchor is None:
+            self._anchor = (now, done)
+        rate = 0.0
+        if self._anchor is not None and now > self._anchor[0]:
+            rate = (done - self._anchor[1]) / (now - self._anchor[0])
+        # done advances by whole injections over a real clock interval, so
+        # a positive rate is never small enough to overflow the ETA.
+        eta = max(0.0, (self.total - done) / rate) if rate > 0 else None
+        return rate, eta
+
+
+class CampaignHeartbeat:
+    """Rate-limited stderr renderer of a run's ``campaign/chunk`` envelopes.
+
+    One line per envelope at most every ``interval_s`` (a million-injection
+    campaign does not drown its own log), and the terminal line exactly
+    once, on ``campaign/run_end`` — which every normal completion
+    publishes, a run that quarantined chunks and ends short included.
+    """
+
+    def __init__(self, interval_s=1.0, stream=None, clock=time.perf_counter):
         self.interval_s = float(interval_s)
         self.stream = stream if stream is not None else sys.stderr
         self.clock = clock
         self.ticks = 0
-        self._started = None
-        self._first_done = 0
         self._last_emit = None
-        self._final_emitted = False
+        self._latest = None
 
-    def _cache_hit_rate(self):
-        campaign = self.campaign
-        if campaign is None or getattr(campaign, "_resume", None) is None:
-            return None
-        cache = campaign._resume.cache
-        total = cache.hits + cache.misses
-        return cache.hits / total if total else None
-
-    def _bus(self):
-        return getattr(self.campaign, "telemetry", None)
-
-    def __call__(self, done, total):
-        now = self.clock()
-        if self._started is None:
-            # First tick fires after the first chunk; anchor the rate clock
-            # here and let later ticks measure marginal throughput.
-            self._started = now
-            self._first_done = done
-        final = done >= total
-        if final and self._final_emitted:
-            return  # the terminal line already printed (merge + finish paths)
-        if not final and self._last_emit is not None \
-                and now - self._last_emit < self.interval_s:
+    def __call__(self, envelope):
+        if envelope["source"] != "campaign":
             return
-        self._emit(done, total, now, final)
+        kind, data = envelope["kind"], envelope["data"]
+        if kind == "run_start":
+            self._latest = {"done": 0, "total": data["n_injections"]}
+            self._last_emit = None
+        elif kind == "chunk":
+            self._latest = data
+            now = self.clock()
+            if self._last_emit is None or now - self._last_emit >= self.interval_s:
+                self._last_emit = now
+                self._emit(data, final=False)
+        elif kind == "run_end" and self._latest is not None:
+            self._emit(self._latest, final=True)
 
-    def finish(self, done, total):
-        """Force the terminal line if no ``done >= total`` tick emitted it.
-
-        Executors call this once per run: a campaign that completes short
-        of ``total`` (quarantined chunks, drained interrupt) never fires
-        the rate-limit bypass above, and without this its last — often
-        only — line would be silently suppressed.
-        """
-        if self._final_emitted:
-            return
-        now = self.clock()
-        if self._started is None:
-            self._started = now
-            self._first_done = done
-        self._emit(done, total, now, True)
-
-    def _emit(self, done, total, now, final):
-        self._last_emit = now
-        elapsed = now - self._started
-        rate = (done - self._first_done) / elapsed if elapsed > 0 else 0.0
-        if not math.isfinite(rate) or rate < 0:
-            rate = 0.0
-        eta = None
-        if rate > 0 and not final:
-            eta = (total - done) / rate
-            if not math.isfinite(eta) or eta < 0:
-                eta = 0.0
-        parts = [f"[campaign] {done}/{total} injections"]
+    def _emit(self, data, final):
+        parts = [f"[campaign] {data['done']}/{data['total']} injections"]
+        rate = data.get("rate") or 0.0
         if rate > 0:
             parts.append(f"{rate:.1f} inj/s")
-            if eta is not None:
-                parts.append(f"eta {eta:.1f}s")
-        hit_rate = self._cache_hit_rate()
-        if hit_rate is not None:
-            parts.append(f"cache hit {hit_rate:.0%}")
+            if not final and data.get("eta_s") is not None:
+                parts.append(f"eta {data['eta_s']:.1f}s")
+        if data.get("cache_hit_rate") is not None:
+            parts.append(f"cache hit {data['cache_hit_rate']:.0%}")
         if final:
             parts.append("done")
-            self._final_emitted = True
         print(" | ".join(parts), file=self.stream, flush=True)
         self.ticks += 1
-        bus = self._bus()
-        if bus is not None:
-            bus.publish("heartbeat", "tick", {
-                "done": int(done),
-                "total": int(total),
-                "rate": float(rate),
-                "eta_s": float(eta) if eta is not None else None,
-                "cache_hit_rate": float(hit_rate) if hit_rate is not None else None,
-                "final": bool(final),
-            })
 
 
-def coerce_progress(progress, campaign):
-    """Normalise ``InjectionCampaign.run``'s ``progress=`` argument.
+def coerce_progress(progress):
+    """Normalise ``InjectionCampaign.run``'s ``progress=`` into a bus consumer.
 
     ``None``/``False`` → no reporting; ``True`` → a default
-    :class:`CampaignHeartbeat` bound to the campaign; any callable passes
-    through unchanged.
+    :class:`CampaignHeartbeat`; a heartbeat passes through; any other
+    callable is called as ``progress(done, total)`` once per folded chunk.
     """
     if progress is None or progress is False:
         return None
     if progress is True:
-        return CampaignHeartbeat(campaign)
-    if callable(progress):
+        return CampaignHeartbeat()
+    if isinstance(progress, CampaignHeartbeat):
         return progress
+    if callable(progress):
+        def consume(envelope):
+            if envelope["source"] == "campaign" and envelope["kind"] == "chunk":
+                progress(envelope["data"]["done"], envelope["data"]["total"])
+        return consume
     raise TypeError(
         f"progress must be a callable, a bool, or None; got {type(progress).__name__}"
     )
-
-
-def _finish_progress(progress, done, total):
-    """Fire a progress reporter's terminal update, if it has one.
-
-    Heartbeats expose :meth:`CampaignHeartbeat.finish`; plain callables
-    already received their last ``progress(done, total)`` call from the
-    executor and are left alone.
-    """
-    if progress is None:
-        return
-    finish = getattr(progress, "finish", None)
-    if callable(finish):
-        finish(done, total)

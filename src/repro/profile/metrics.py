@@ -2,9 +2,8 @@
 
 Prometheus-shaped but dependency-free: a :class:`MetricsRegistry` owns
 named metric instances, ``snapshot()`` renders the whole registry as one
-stable JSON-serialisable dict, and :func:`MetricsRegistry.from_snapshot`
-rebuilds a registry from such a dict — the round trip is exact, which is
-what lets campaign telemetry carry metric state between processes.
+stable JSON-serialisable dict, and ``to_prometheus_text()`` renders the
+same numbers in the Prometheus text exposition format.
 
 :class:`~repro.perf.CampaignPerfCounters` publishes into a registry via
 ``publish()``; the profiler owns one (``Profiler.metrics``) so traces and
@@ -200,75 +199,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    def merge_snapshot(self, snapshot):
-        """Fold another registry's ``snapshot()`` into this registry.
-
-        Merge semantics are order-independent — counters and gauges add,
-        histograms combine bucket-wise (sums/counts add, min/max fold) —
-        so merging K worker snapshots is associative and commutative: any
-        merge order produces the same final ``snapshot()``.  Gauges that
-        encode *derived* rates (hit rates, injections/sec) therefore do
-        not survive a merge meaningfully; publishers republish them from
-        merged source counters afterwards, which is exactly what
-        :meth:`CampaignPerfCounters.publish` does after a parallel
-        campaign.  Returns ``self`` for chaining.
-        """
-        schema = snapshot.get("schema")
-        if schema != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported metrics snapshot schema {schema!r} "
-                f"(expected {SNAPSHOT_SCHEMA_VERSION})"
-            )
-        for name, entry in snapshot.get("counters", {}).items():
-            counter = self.counter(name, help=entry.get("help", ""))
-            counter.value += entry["value"]
-        for name, entry in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name, help=entry.get("help", ""))
-            gauge.value += entry["value"]
-        for name, entry in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, help=entry.get("help", ""),
-                                  buckets=entry["buckets"])
-            if list(hist.buckets) != [float(b) for b in entry["buckets"]]:
-                raise ValueError(
-                    f"histogram {name!r} bucket bounds differ: "
-                    f"{list(hist.buckets)} vs {entry['buckets']}"
-                )
-            hist.counts = [a + b for a, b in zip(hist.counts, entry["counts"])]
-            hist.count += entry["count"]
-            hist.sum += entry["sum"]
-            for attr, fold in (("min", min), ("max", max)):
-                theirs = entry[attr]
-                if theirs is not None:
-                    ours = getattr(hist, attr)
-                    setattr(hist, attr, theirs if ours is None else fold(ours, theirs))
-        return self
-
-    @classmethod
-    def from_snapshot(cls, snapshot):
-        """Rebuild a registry whose ``snapshot()`` equals ``snapshot``."""
-        schema = snapshot.get("schema")
-        if schema != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported metrics snapshot schema {schema!r} "
-                f"(expected {SNAPSHOT_SCHEMA_VERSION})"
-            )
-        registry = cls()
-        for name, entry in snapshot.get("counters", {}).items():
-            counter = registry.counter(name, help=entry.get("help", ""))
-            counter.value = entry["value"]
-        for name, entry in snapshot.get("gauges", {}).items():
-            gauge = registry.gauge(name, help=entry.get("help", ""))
-            gauge.value = entry["value"]
-        for name, entry in snapshot.get("histograms", {}).items():
-            hist = registry.histogram(name, help=entry.get("help", ""),
-                                      buckets=entry["buckets"])
-            hist.counts = list(entry["counts"])
-            hist.count = entry["count"]
-            hist.sum = entry["sum"]
-            hist.min = entry["min"]
-            hist.max = entry["max"]
-        return registry
 
     def to_prometheus_text(self):
         """Render the registry in the Prometheus text exposition format.

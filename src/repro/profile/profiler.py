@@ -172,7 +172,7 @@ class Profiler:
         self.enabled = True
         self.roots = []
         self.spans = []  # every span, in start order
-        self.foreign_spans = []  # adopted flat span records from other processes
+        self.foreign_spans = []  # worker span records, see consume()
         self.overhead_s = 0.0
         self.metrics = MetricsRegistry()
         self._stack = []
@@ -195,23 +195,25 @@ class Profiler:
         if self._stack:
             self._stack[-1].alloc_bytes += nbytes
 
-    def adopt_spans(self, records, pid, process_name=None):
-        """Adopt flat span records from another process as a trace lane.
+    def consume(self, envelope):
+        """The profiler's campaign-bus consumer.
 
-        ``records`` is a list of dicts from
-        :func:`repro.profile.export.span_records` — picklable snapshots of
-        a worker profiler's spans with absolute ``perf_counter`` times
-        (``CLOCK_MONOTONIC`` is system-wide on Linux, so forked workers
-        share the parent's timeline).  Chrome-trace export renders each
-        adopted pid as its own process lane, labelled ``process_name``.
+        A worker's ``profile/spans`` row (:func:`~repro.profile.export.span_records`
+        with absolute ``perf_counter`` times, a timeline forked workers
+        share) joins :attr:`foreign_spans` as that worker's pid lane.
+        Every executed ``campaign/chunk`` envelope, inline or worker, is
+        observed into ``campaign.chunk_seconds``.
         """
-        for record in records:
-            adopted = dict(record)
-            adopted["pid"] = int(pid)
-            if process_name is not None:
-                adopted["process_name"] = process_name
-            self.foreign_spans.append(adopted)
-        return self
+        source, kind, data = envelope["source"], envelope["kind"], envelope["data"]
+        if source == "profile" and kind == "spans":
+            name = f"repro.worker[{envelope['worker']}]"
+            self.foreign_spans.extend(
+                dict(record, pid=int(data["pid"]), process_name=name)
+                for record in data["spans"])
+        elif source == "campaign" and kind == "chunk" and data["elapsed_s"] is not None:
+            self.metrics.histogram(
+                "campaign.chunk_seconds", help="wall clock per injection chunk"
+            ).observe(data["elapsed_s"])
 
     def reset(self):
         """Drop all recorded spans and metrics (the clock choice stays)."""
@@ -289,9 +291,6 @@ class NullProfiler:
 
     def span(self, name, cat="", **args):
         return _NULL_CONTEXT
-
-    def adopt_spans(self, records, pid, process_name=None):
-        return self
 
     @property
     def current(self):

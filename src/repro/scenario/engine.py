@@ -153,36 +153,36 @@ def run_scenario(compiled, workers=1, journal=None, observe=None,
     """Run every sweep point of ``compiled``; returns :class:`ScenarioResult`.
 
     ``workers``/``journal``/``observe``/``progress``/``telemetry`` pass
-    through to each point's ``campaign.run``.  With a telemetry bus
-    attached, the engine additionally publishes one ``("scenario",
-    "point_start")`` / ``("scenario", "point_end")`` envelope pair around
-    every sweep point, so a streamed multi-point scenario shows which
-    phase of the sweep is live.  ``out_dir`` (a directory path) enables
+    through to each point's ``campaign.run``; every point publishes into
+    the one bus (``telemetry``, or a bare bus made for the scenario).  The
+    engine additionally publishes one ``("scenario", "point_start")`` /
+    ``("scenario", "point_end")`` envelope pair around every sweep point,
+    so a streamed multi-point scenario shows which phase of the sweep is
+    live.  ``out_dir`` (a directory path) enables
     the accumulated-sweep artifact.
     :class:`~repro.campaign.CampaignInterrupted` propagates to the caller
     — with a journal, rerunning the same scenario against the same paths
     resumes each point where it stopped.
     """
-    from ..telemetry import coerce_bus
+    from ..telemetry import TelemetryBus, coerce_bus
 
     config = compiled.config
     campaign = compiled.campaign
-    bus = coerce_bus(telemetry)
+    bus = coerce_bus(telemetry) or TelemetryBus()
     multi = len(compiled.points) > 1
     points = []
     for index, point in enumerate(compiled.points):
         point_journal = _point_path(journal, index, point.label, multi)
         point_observe = _point_path(observe, index, point.label, multi)
-        if bus is not None:
-            bus.publish("scenario", "point_start", {
-                "scenario": config.name,
-                "family": config.family,
-                "point": index,
-                "label": point.label,
-                "n_points": len(compiled.points),
-                "n_injections": int(point.n_injections),
-                "resident_faults": len(point.resident) if point.resident else 0,
-            })
+        bus.publish("scenario", "point_start", {
+            "scenario": config.name,
+            "family": config.family,
+            "point": index,
+            "label": point.label,
+            "n_points": len(compiled.points),
+            "n_injections": int(point.n_injections),
+            "resident_faults": len(point.resident) if point.resident else 0,
+        })
         if point.n_injections == 0:
             # A rate draw can legitimately realize zero upsets; record the
             # empty point rather than forcing a run the plan never asked for.
@@ -191,10 +191,9 @@ def run_scenario(compiled, workers=1, journal=None, observe=None,
                 confidence=config.campaign.confidence,
                 resident_faults=len(point.resident) if point.resident else 0,
                 journal=point_journal, meta=dict(point.meta)))
-            if bus is not None:
-                bus.publish("scenario", "point_end", {
-                    "point": index, "label": point.label,
-                    "injections": 0, "corruptions": 0})
+            bus.publish("scenario", "point_end", {
+                "point": index, "label": point.label,
+                "injections": 0, "corruptions": 0})
             continue
         forwards_before = campaign.perf.forwards
         saved_before = campaign.perf.forwards_saved
@@ -210,13 +209,12 @@ def run_scenario(compiled, workers=1, journal=None, observe=None,
         )
         point_forwards = campaign.perf.forwards - forwards_before
         point_saved = campaign.perf.forwards_saved - saved_before
-        if bus is not None:
-            bus.publish("scenario", "point_end", {
-                "point": index,
-                "label": point.label,
-                "injections": int(result.injections),
-                "corruptions": int(result.corruptions),
-            })
+        bus.publish("scenario", "point_end", {
+            "point": index,
+            "label": point.label,
+            "injections": int(result.injections),
+            "corruptions": int(result.corruptions),
+        })
         info = campaign.parallel_info
         retries = info["retries"] if info else 0
         requeued = info["requeued_chunks"] if info else 0

@@ -1,12 +1,14 @@
 """repro.telemetry — unified live telemetry: bus, stream server, flight recorder.
 
-One campaign, one :class:`TelemetryBus`, one envelope schema
+One campaign run, one :class:`TelemetryBus`, one envelope schema
 (:data:`ENVELOPE_SCHEMA`).  Producers across the codebase (campaign
-runner, parallel executor, recovery journal, observe tracer, heartbeat,
-scenario engine) publish; consumers (:class:`TelemetryServer`,
-:class:`TelemetrySampler`, :class:`FlightRecorder`, ``repro top``)
-subscribe.  Publishing never blocks and never perturbs the science —
-see ``bus.py`` for the invariants.
+fold, parallel executor, recovery journal, observe tracer, scenario
+engine, sampler) publish; readers consume synchronously (the
+:class:`FlightRecorder`, the progress reporter, the observe sink, the
+profiler) or subscribe through bounded queues
+(:class:`TelemetryServer`, :class:`TelemetrySampler`, and through the
+server ``repro top``).  Publishing never blocks on a subscriber and
+never perturbs the science — see ``bus.py`` for the invariants.
 """
 
 from .bus import (
@@ -15,7 +17,6 @@ from .bus import (
     SOURCES,
     Subscription,
     TelemetryBus,
-    WorkerTelemetryRelay,
     coerce_bus,
     make_envelope,
 )
@@ -43,7 +44,6 @@ __all__ = [
     "TelemetrySampler",
     "TelemetryServer",
     "TopAggregator",
-    "WorkerTelemetryRelay",
     "coerce_bus",
     "load_flight_dump",
     "make_envelope",

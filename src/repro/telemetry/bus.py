@@ -1,38 +1,46 @@
-"""The unified live-telemetry bus: one correlated envelope stream.
+"""The telemetry bus: the one path from a run's producers to its readers.
 
-Everything a campaign already reports post-hoc — observe injection
-events, profiler metric snapshots, heartbeat progress, recovery/journal
-lifecycle, worker liveness — publishes *live* through one
-:class:`TelemetryBus` as schema-versioned envelopes (campaign run ID,
-monotonic sequence number, source, wall + monotonic clocks).  Consumers
-(the NDJSON streaming server, the periodic sampler, the flight recorder,
-``repro top``) subscribe; the hot path never blocks on any of them.
+Every campaign run publishes into a :class:`TelemetryBus` — the
+caller's, or a bare one made for the run.  Producers (the campaign fold,
+the parallel executor, the recovery journal, the observe tracer, the
+scenario engine, the sampler) publish schema-versioned envelopes
+(campaign run ID, monotonic sequence number, source, wall + monotonic
+clocks).  Readers take them one of two ways:
 
-Design constraints, in order:
+* **Synchronous consumers** (:meth:`TelemetryBus.add_consumer`) are
+  called with every envelope inside ``publish``, losslessly and in
+  publish order.  An attached flight recorder is always the first; a
+  run adds its progress reporter, its observe tracer and its profiler
+  for the duration of the run.  A consumer's exception propagates out of
+  ``publish`` exactly as a direct call would — that is how an observe
+  sink error surfaces.  The sampler publishes from its own thread, so a
+  consumer can run on that thread: each one filters by ``source`` and
+  ``kind`` and ignores the rest.
+* **Subscriptions** (:meth:`TelemetryBus.subscribe`) are bounded queues
+  drained on other threads (the NDJSON server, the sampler).  When a
+  subscriber falls behind, the bus drops its *oldest* envelope (live
+  viewers want the newest state) and counts the drop honestly —
+  ``Subscription.dropped`` per subscriber, ``bus.events_dropped``
+  bus-wide — instead of stalling the campaign or growing without bound.
 
-* **Publishing must not change the science.**  ``publish`` draws from no
-  random generator, reads nothing it mutates, and never raises into the
-  campaign — a streamed campaign produces bitwise-identical outcomes,
-  RNG stream, and cache statistics to an unstreamed one.
-* **The hot path is never blocked.**  Every subscriber owns a *bounded*
-  queue.  When a consumer falls behind, the bus drops that subscriber's
-  *oldest* event (live viewers want the newest state) and counts the
-  drop honestly — ``Subscription.dropped`` per consumer,
-  ``bus.events_dropped`` fleet-wide — instead of stalling the campaign
-  or growing without bound.
-* **One envelope format.**  Every event is a flat dict tagged with
-  ``schema`` (:data:`ENVELOPE_SCHEMA`), the bus's ``run`` ID, a
-  monotonically increasing ``seq``, its ``source`` stream, a ``kind``
-  within that source, both clocks, and an optional ``worker`` id — so a
-  single NDJSON stream from a 4-worker campaign still totally orders and
-  attributes every event.
+Publishing never changes the science: ``publish`` draws from no random
+generator and consumers only read, so a streamed campaign produces
+bitwise-identical outcomes, RNG stream, and cache statistics.  Publishing
+never blocks on a subscriber; it raises only what a consumer raises.
 
-Inside forked campaign workers the *parent's* bus is unreachable (a
-copy-on-write clone of its queues goes nowhere), so workers publish into
-a :class:`WorkerTelemetryRelay` with the same ``publish`` signature; the
-buffered rows ride home as the envelope list of each chunk's completion
-message, over the worker's private pipe, and the parent republishes them
-with its own sequence numbers.
+Every envelope is a flat dict tagged with ``schema``
+(:data:`ENVELOPE_SCHEMA`), the bus's ``run`` ID, a monotonically
+increasing ``seq``, its ``source`` stream, a ``kind`` within that
+source, both clocks, and an optional ``worker`` id — so a single NDJSON
+stream from a 4-worker campaign still totally orders and attributes
+every event.
+
+Inside a forked campaign worker the *parent's* bus is unreachable (a
+copy-on-write clone of it goes nowhere), so each worker publishes into
+a private bus whose one consumer collects ``(source, kind, data,
+worker)`` rows; they ride home in each chunk's completion message, over
+the worker's private pipe, and the parent's fold republishes them
+verbatim with its own sequence numbers.
 """
 
 from __future__ import annotations
@@ -44,10 +52,10 @@ from collections import deque
 
 ENVELOPE_SCHEMA = "repro.telemetry/1"
 
-#: Every stream a campaign can publish on.  ``repro top`` and the CI
-#: smoke assert against these names, so they are part of the schema.
-SOURCES = ("campaign", "observe", "heartbeat", "recovery", "worker",
-           "sampler", "scenario", "profile")
+#: Every stream a campaign can publish on.  ``repro top`` and the tests
+#: assert against these names, so they are part of the schema.
+SOURCES = ("campaign", "observe", "recovery", "worker", "sampler",
+           "scenario", "profile")
 
 DEFAULT_QUEUE_LEN = 1024
 
@@ -110,13 +118,13 @@ class Subscription:
 
 
 class TelemetryBus:
-    """Multi-consumer fan-out of campaign telemetry envelopes.
+    """Fan-out of one run's telemetry envelopes to consumers and subscribers.
 
     ``run_id`` defaults to a fresh UUID4 hex (drawn from ``os.urandom``,
     never from any numpy generator — the science RNG streams stay
     untouched).  An optional :class:`~repro.telemetry.FlightRecorder`
-    rides along as a special always-on consumer whose ring buffer
-    overwrites instead of dropping; it is the post-mortem black box.
+    is the first synchronous consumer; its ring buffer overwrites
+    instead of dropping, and it is the post-mortem black box.
     """
 
     def __init__(self, run_id=None, recorder=None):
@@ -127,27 +135,39 @@ class TelemetryBus:
         self.events_published = 0
         self.events_dropped = 0
         self._seq = 0
+        self._consumers = [recorder.record] if recorder is not None else []
         self._subs = []
         self._lock = threading.Lock()
 
     def publish(self, source, kind, data, worker=None):
-        """Fan one event out to every subscriber; never blocks, never raises.
+        """Hand one event to every consumer, then queue it for every subscriber.
 
-        Returns the envelope (handy in tests).  ``worker`` tags events
-        republished on behalf of a forked worker.
+        Never blocks; raises only what a consumer raises.  Returns the
+        envelope (handy in tests).  ``worker`` tags events republished on
+        behalf of a forked worker.
         """
         with self._lock:
             seq = self._seq
             self._seq += 1
+            consumers = list(self._consumers)
             subs = list(self._subs)
         envelope = make_envelope(self.run_id, seq, source, kind, data,
                                  worker=worker)
         self.events_published += 1
-        if self.recorder is not None:
-            self.recorder.record(envelope)
+        for consume in consumers:
+            consume(envelope)
         for sub in subs:
             sub._offer(envelope)
         return envelope
+
+    def add_consumer(self, consume):
+        """Call ``consume(envelope)`` synchronously for every later publish."""
+        with self._lock:
+            self._consumers.append(consume)
+
+    def remove_consumer(self, consume):
+        with self._lock:
+            self._consumers.remove(consume)
 
     def subscribe(self, maxlen=DEFAULT_QUEUE_LEN):
         sub = Subscription(self, maxlen=maxlen)
@@ -185,53 +205,18 @@ class TelemetryBus:
             return None
         return self.recorder.dump(reason, out_dir=out_dir)
 
-    def close(self):
-        with self._lock:
-            self._subs = []
-
     def __repr__(self):
         return (f"TelemetryBus(run={self.run_id!r}, "
                 f"published={self.events_published}, "
                 f"dropped={self.events_dropped})")
 
 
-class WorkerTelemetryRelay:
-    """Bus façade inside a forked campaign worker.
-
-    Every worker has one, whether or not the parent has a bus.  Publishes
-    buffer locally as ``(source, kind, data, worker)`` rows; after each
-    chunk the worker drains them (:meth:`take`) into the chunk's one
-    completion message.  Besides bus rows, the list carries what the
-    parent folds instead of republishing: full observe events (the parent
-    derives their bus summary), clean-capture counts, and profiler spans
-    and metrics.  The parent replays the rows in order, so worker events
-    get real sequence numbers and reach every subscriber, and a retried
-    chunk's duplicate rows are discarded with its duplicate message.
-    """
-
-    def __init__(self, worker):
-        self.worker = int(worker)
-        self.events_published = 0
-        self._buffer = []
-
-    def publish(self, source, kind, data, worker=None):
-        self.events_published += 1
-        self._buffer.append(
-            (source, kind, data, worker if worker is not None else self.worker))
-        return None
-
-    def take(self):
-        """Drain the buffered rows (one chunk's envelope list)."""
-        rows, self._buffer = self._buffer, []
-        return rows
-
-
 def coerce_bus(telemetry):
     """Normalise ``campaign.run``'s ``telemetry=`` argument.
 
     ``None``/``False`` → no bus; ``True`` → a fresh bus with a default
-    flight recorder attached; a :class:`TelemetryBus` (or worker relay)
-    passes through unchanged.
+    flight recorder attached; a :class:`TelemetryBus` passes through
+    unchanged.
     """
     if telemetry is None or telemetry is False:
         return None
@@ -239,7 +224,7 @@ def coerce_bus(telemetry):
         from .recorder import FlightRecorder
 
         return TelemetryBus(recorder=FlightRecorder())
-    if isinstance(telemetry, (TelemetryBus, WorkerTelemetryRelay)):
+    if isinstance(telemetry, TelemetryBus):
         return telemetry
     raise TypeError(
         f"telemetry must be a TelemetryBus, a bool, or None; "

@@ -10,13 +10,12 @@ that stops reading grows its buffer until it crosses
 in ``clients_evicted``) — a slow dashboard can never make the campaign
 (or the other clients) wait.
 
-:class:`TelemetrySampler` is a background consumer+producer: it drains
-its own bus subscription to track progress, then periodically publishes
-derived gauges — injections/sec over a sliding window, cache hit rate,
-clamped ETA, per-worker liveness and RSS (read from ``/proc``) — as
-``source="sampler"`` envelopes.  Dashboards get rates without every
-client re-deriving them, and the flight recorder's ring always holds a
-recent resource snapshot.
+:class:`TelemetrySampler` is a background subscriber+producer: it drains
+its own bus subscription for the run's latest progress envelope, then
+periodically publishes gauges — that envelope's injections/sec, ETA and
+cache hit rate, lane occupancy, per-worker liveness and RSS (read from
+``/proc``) — as ``source="sampler"`` envelopes, so the flight recorder's
+ring always holds a recent resource snapshot.
 
 Both only *read* campaign state; neither touches any RNG stream.
 """
@@ -24,13 +23,11 @@ Both only *read* campaign state; neither touches any RNG stream.
 from __future__ import annotations
 
 import json
-import math
 import os
 import selectors
 import socket
 import threading
 import time
-from collections import deque
 from pathlib import Path
 
 _POLL_S = 0.05
@@ -236,32 +233,28 @@ def read_rss_kb(pid):
 
 
 class TelemetrySampler:
-    """Publish derived gauges on a fixed cadence, from bus traffic + /proc.
+    """Publish gauges on a fixed cadence: the run's progress plus /proc reads.
 
-    Consumes its own subscription to learn progress (``campaign`` /
-    ``heartbeat`` envelopes) and fleet membership (``worker`` envelopes),
-    then publishes one ``source="sampler"`` gauge envelope per interval —
-    plus one immediately at :meth:`start` and one final at :meth:`stop`,
-    so even a sub-interval campaign's stream carries sampler events.
+    Drains its own subscription for the newest ``campaign/chunk``
+    envelope — whose ``done``/``total``, rate, ETA and cache-hit rate the
+    campaign's fold computed — and for fleet membership (``worker``
+    envelopes), then publishes one ``source="sampler"`` gauge envelope
+    per interval with those numbers copied, RSS per process, and lane
+    occupancy read from ``campaign.perf`` — plus one immediately at
+    :meth:`start` and one final at :meth:`stop`, so even a sub-interval
+    campaign's stream carries sampler events.
     """
 
-    def __init__(self, bus, campaign=None, interval_s=0.5, window_s=10.0):
+    def __init__(self, bus, campaign=None, interval_s=0.5):
         self.bus = bus
         self.campaign = campaign
         self.interval_s = float(interval_s)
-        self.samples = 0
-        self._window_s = float(window_s)
         self._sub = bus.subscribe(maxlen=4096)
         self._stop = threading.Event()
         self._stopped = False
         self._thread = None
-        self._done = 0
-        self._chunk_done = 0
-        self._total = None
-        self._chunk_forwards = 0
-        self._chunk_lanes = 0
-        self._progress = deque()  # (t_mono, done) observations
-        self._workers = {}  # wid -> {"pid": int, "alive": bool}
+        self._progress = {}  # data of the newest campaign/chunk envelope
+        self._workers = {}  # wid -> {"wid", "pid", "alive"} row
 
     def start(self):
         self._sample()
@@ -290,87 +283,29 @@ class TelemetrySampler:
     def _ingest(self):
         for env in self._sub.drain():
             source, kind, data = env["source"], env["kind"], env["data"]
-            if kind == "progress" or (source == "heartbeat" and kind == "tick"):
-                done = data.get("done")
-                if done is not None:
-                    self._done = max(self._done, int(done))
-                    self._progress.append((env["t_mono"], self._done))
-                if data.get("total") is not None:
-                    self._total = int(data["total"])
-            elif source == "campaign" and kind == "run_start":
-                if data.get("n_injections") is not None:
-                    self._total = int(data["n_injections"])
+            if source == "campaign" and kind == "run_start":
+                self._progress = {"total": data["n_injections"]}
             elif source == "campaign" and kind == "chunk":
-                # Progress-bar-free runs still advance via chunk tallies;
-                # max() lets heartbeat ticks stay authoritative when present.
-                self._chunk_done += int(data.get("injections") or 0)
-                # Lane occupancy: one chunk envelope is one forward hosting
-                # data["lanes"] packed injections (legacy streams lack the
-                # field; count their injections as one lane each).
-                self._chunk_forwards += 1
-                self._chunk_lanes += int(data.get("lanes")
-                                         or data.get("injections") or 1)
-                if self._chunk_done > self._done:
-                    self._done = self._chunk_done
-                    self._progress.append((env["t_mono"], self._done))
-            elif source == "worker":
-                wid = data.get("wid")
-                if wid is None:
-                    continue
-                if kind == "spawn":
-                    self._workers[wid] = {"pid": data.get("pid"), "alive": True}
-                elif kind in ("exit", "died"):
-                    self._workers.setdefault(wid, {"pid": data.get("pid")})
-                    self._workers[wid]["alive"] = False
-        horizon = time.monotonic() - self._window_s
-        while len(self._progress) > 2 and self._progress[0][0] < horizon:
-            self._progress.popleft()
-
-    def _rate(self):
-        if len(self._progress) < 2:
-            return 0.0
-        (t0, d0), (t1, d1) = self._progress[0], self._progress[-1]
-        if t1 <= t0:
-            return 0.0
-        return (d1 - d0) / (t1 - t0)
+                self._progress = data
+            elif source == "worker":  # spawn, then exit or died
+                self._workers[data["wid"]] = {"wid": data["wid"], "pid": data["pid"],
+                                              "alive": kind == "spawn"}
 
     def _sample(self):
         self._ingest()
-        rate = self._rate()
-        eta = None
-        if self._total is not None and rate > 0:
-            eta = (self._total - self._done) / rate
-            if not math.isfinite(eta) or eta < 0:
-                eta = None
-        cache_hit_rate = None
-        campaign = self.campaign
-        if campaign is not None and getattr(campaign, "_resume", None) is not None:
-            cache = campaign._resume.cache
-            lookups = cache.hits + cache.misses
-            if lookups:
-                cache_hit_rate = cache.hits / lookups
-        workers = []
-        for wid in sorted(self._workers):
-            info = self._workers[wid]
-            pid = info.get("pid")
-            workers.append({
-                "wid": wid,
-                "pid": pid,
-                "alive": bool(info.get("alive")),
-                "rss_kb": read_rss_kb(pid) if info.get("alive") and pid else None,
-            })
-        lane_occupancy = (self._chunk_lanes / self._chunk_forwards
-                          if self._chunk_forwards else None)
-        forwards_saved = self._chunk_lanes - self._chunk_forwards
-        self.samples += 1
+        progress = self._progress
+        perf = self.campaign.perf if self.campaign is not None else None
+        workers = [dict(row, rss_kb=read_rss_kb(row["pid"]) if row["alive"] else None)
+                   for _, row in sorted(self._workers.items())]
         self.bus.publish("sampler", "gauges", {
-            "done": self._done,
-            "total": self._total,
-            "inj_per_s": rate,
-            "eta_s": eta,
-            "cache_hit_rate": cache_hit_rate,
-            "lane_occupancy": lane_occupancy,
-            "forwards_saved": forwards_saved,
+            "done": progress.get("done", 0),
+            "total": progress.get("total"),
+            "inj_per_s": progress.get("rate", 0.0),
+            "eta_s": progress.get("eta_s"),
+            "cache_hit_rate": progress.get("cache_hit_rate"),
+            "lane_occupancy": (perf.mean_lane_occupancy
+                               if perf is not None and perf.forwards else None),
+            "forwards_saved": perf.forwards_saved if perf is not None else None,
             "rss_kb": read_rss_kb(os.getpid()),
             "workers": workers,
         })

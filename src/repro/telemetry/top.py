@@ -93,23 +93,11 @@ class TopAggregator:
         source, kind, data = obj.get("source"), obj.get("kind"), obj.get("data") or {}
         self.last_kind = f"{source}/{kind}"
         if source == "sampler" and kind == "gauges":
-            self.done = max(self.done, int(data.get("done") or 0))
-            if data.get("total") is not None:
-                self.total = int(data["total"])
-            self.inj_per_s = float(data.get("inj_per_s") or 0.0)
-            self.eta_s = data.get("eta_s")
-            self.cache_hit_rate = data.get("cache_hit_rate")
+            # Progress comes from the chunk envelopes the gauges copy.
             self.rss_kb = data.get("rss_kb")
             for row in data.get("workers") or []:
                 if row.get("wid") is not None:
                     self.workers[row["wid"]] = dict(row)
-        elif kind == "progress" or (source == "heartbeat" and kind == "tick"):
-            if data.get("done") is not None:
-                self.done = max(self.done, int(data["done"]))
-            if data.get("total") is not None:
-                self.total = int(data["total"])
-            if data.get("rate") is not None:
-                self.inj_per_s = float(data["rate"])
         elif source == "campaign":
             if kind == "run_start" and data.get("n_injections") is not None:
                 self.total = int(data["n_injections"])
@@ -118,10 +106,16 @@ class TopAggregator:
             elif kind == "run_aborted":
                 self.aborted = data.get("reason", "aborted")
             elif kind == "chunk":
-                layer = data.get("layer")
-                if layer is not None:
-                    self.layer_injections[layer] += int(data.get("injections") or 0)
-                    self.outcomes[layer] += int(data.get("corruptions") or 0)
+                self.done = max(self.done, int(data.get("done") or 0))
+                if data.get("total") is not None:
+                    self.total = int(data["total"])
+                self.inj_per_s = float(data.get("rate") or 0.0)
+                self.eta_s = data.get("eta_s")
+                self.cache_hit_rate = data.get("cache_hit_rate")
+                # Lane-packed chunks mix layers: credit each lane's own.
+                for layer, corrupted in data.get("tallies") or ():
+                    self.layer_injections[layer] += 1
+                    self.outcomes[layer] += int(corrupted)
         elif source == "worker":
             wid = data.get("wid")
             if wid is not None:

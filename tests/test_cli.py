@@ -172,15 +172,16 @@ class TestProfileRuntimeCommand:
         assert "no_such_net" in capsys.readouterr().err
 
     def test_forward_profile_writes_artifacts(self, tmp_path, capsys):
-        assert main(["profile", "--model", "alexnet", "--scale", "smoke",
+        assert main(["profile", "--model", "resnet18", "--scale", "smoke",
                      "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "recorded wall clock" in out
-        trace = json.loads((tmp_path / "alexnet_trace.json").read_text())
+        trace = json.loads((tmp_path / "resnet18_trace.json").read_text())
         events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert events and all("ts" in e and "dur" in e and "name" in e
                               for e in events)
-        summary = json.loads((tmp_path / "alexnet_summary.json").read_text())
+        assert any(e.get("cat") == "layer" for e in events)
+        summary = json.loads((tmp_path / "resnet18_summary.json").read_text())
         assert summary["meta"]["mode"] == "forward"
         # Per-layer self-times never exceed the recorded wall clock.
         assert sum(r["self_s"] for r in summary["spans"]) <= summary["total_s"] + 1e-9
@@ -193,6 +194,16 @@ class TestProfileRuntimeCommand:
         paths = {r["path"] for r in summary["spans"]}
         assert any("campaign.chunk" in p for p in paths)
         assert "campaign.injections" in summary["metrics"]["counters"]
+
+    def test_campaign_profile_defaults_to_the_inject_batch(self, tmp_path, capsys):
+        """Without --batch-size a campaign profile packs lanes like inject."""
+        metrics = tmp_path / "m.prom"
+        assert main(["profile", "--model", "alexnet", "--scale", "smoke",
+                     "--campaign", "32", "--out-dir", str(tmp_path),
+                     "--metrics-out", str(metrics)]) == 0
+        forwards, = [int(line.split()[1]) for line in metrics.read_text().splitlines()
+                     if line.startswith("campaign_forwards ")]
+        assert forwards < 32
 
 
 class TestInjectCampaignJson:

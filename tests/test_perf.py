@@ -132,44 +132,3 @@ class TestCampaignPerfCounters:
         perf.injections = 150
         perf.publish(registry)
         assert registry["campaign.injections"].value == 150
-
-
-class TestPerfCounterMerge:
-    def _worker(self, k):
-        """Distinct per-worker tallies (dyadic seconds keep float sums exact)."""
-        return CampaignPerfCounters(
-            injections=10 * k, elapsed_seconds=0.25 * k, forwards=2 * k,
-            resumed_forwards=k, capture_forwards=k % 2,
-            layer_forwards_executed=3 * k, layer_forwards_skipped=5 * k,
-            cache_hits=7 * k, cache_misses=k, cache_evictions=k // 2,
-            cache_bytes=128 * k, resume_enabled=(k == 2),
-        )
-
-    def test_merge_adds_tallies_and_ors_config(self):
-        merged = self._worker(1).merge(self._worker(2))
-        assert merged.injections == 30
-        assert merged.elapsed_seconds == pytest.approx(0.75)
-        assert merged.cache_hits == 21
-        assert merged.cache_bytes == 384
-        assert merged.resume_enabled is True  # OR: one worker had resume on
-
-    def test_merge_returns_self(self):
-        base = CampaignPerfCounters()
-        assert base.merge(self._worker(1)) is base
-
-    def test_merge_is_associative_and_commutative(self):
-        """Any merge order over K worker counter sets gives the same totals."""
-        import itertools
-
-        outcomes = set()
-        for order in itertools.permutations((1, 2, 3)):
-            merged = CampaignPerfCounters()
-            for k in order:
-                merged.merge(self._worker(k))
-            outcomes.add(tuple(sorted(merged.as_dict().items())))
-        assert len(outcomes) == 1
-
-    def test_merge_then_derived_rates_are_consistent(self):
-        merged = CampaignPerfCounters().merge(self._worker(1)).merge(self._worker(3))
-        assert merged.cache_hit_rate == pytest.approx(28 / 32)
-        assert merged.injections_per_sec == pytest.approx(40 / 1.0)

@@ -27,6 +27,7 @@ from repro.profile import (
     text_table,
     write_artifacts,
 )
+from repro.telemetry import make_envelope
 
 
 class FakeClock:
@@ -268,14 +269,9 @@ class TestMetrics:
         hist.observe(0.05)
         hist.observe(2.0)
         snap = reg.snapshot()
-        rebuilt = MetricsRegistry.from_snapshot(json.loads(json.dumps(snap)))
-        assert rebuilt.snapshot() == snap
-        assert rebuilt["jobs"].value == 3
-        assert rebuilt["lat"].counts == [1, 0, 1]
-
-    def test_from_snapshot_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            MetricsRegistry.from_snapshot({"schema": 99})
+        assert json.loads(json.dumps(snap)) == snap
+        assert snap["counters"]["jobs"]["value"] == 3
+        assert snap["histograms"]["lat"]["counts"] == [1, 0, 1]
 
     def test_names_sorted(self):
         reg = MetricsRegistry()
@@ -431,96 +427,46 @@ class TestHeartbeat:
         campaign = InjectionCampaign(model, dataset, batch_size=4, pool_size=32,
                                      rng=3)
         stream = io.StringIO()
-        heartbeat = CampaignHeartbeat(campaign, stream=stream)
+        heartbeat = CampaignHeartbeat(stream=stream)
         campaign.run(8, progress=heartbeat)
         out = stream.getvalue()
         assert "8/8 injections" in out
         assert "done" in out
         assert heartbeat.ticks >= 1
 
+    @staticmethod
+    def _envelope(kind, **data):
+        return make_envelope("hb", 0, "campaign", kind, data)
+
     def test_rate_limited_but_final_tick_always_prints(self):
         clock = FakeClock(step=0.1)
         stream = io.StringIO()
         heartbeat = CampaignHeartbeat(interval_s=10.0, stream=stream, clock=clock)
-        heartbeat(1, 4)
-        heartbeat(2, 4)  # within the interval: suppressed
-        heartbeat(4, 4)  # final: always prints
+        heartbeat(self._envelope("run_start", n_injections=4))
+        for done in (1, 2, 4):  # 2 and 4 fall within the interval: suppressed
+            heartbeat(self._envelope("chunk", done=done, total=4))
+        heartbeat(self._envelope("run_end", injections=4))  # always prints
         lines = [l for l in stream.getvalue().splitlines() if l]
         assert len(lines) == 2
-        assert "done" in lines[-1]
+        assert "4/4" in lines[-1] and "done" in lines[-1]
 
     def test_reports_rate_and_eta(self):
-        clock = FakeClock(step=1.0)
         stream = io.StringIO()
-        heartbeat = CampaignHeartbeat(interval_s=0.0, stream=stream, clock=clock)
-        heartbeat(0, 10)
-        heartbeat(5, 10)
+        heartbeat = CampaignHeartbeat(interval_s=0.0, stream=stream)
+        heartbeat(self._envelope("chunk", done=5, total=10, rate=5.0, eta_s=1.0))
         assert "inj/s" in stream.getvalue()
         assert "eta" in stream.getvalue()
 
     def test_coerce_progress(self):
-        assert coerce_progress(None, None) is None
-        assert coerce_progress(False, None) is None
-        default = coerce_progress(True, "campaign-sentinel")
-        assert isinstance(default, CampaignHeartbeat)
-        assert default.campaign == "campaign-sentinel"
-        fn = lambda done, total: None
-        assert coerce_progress(fn, None) is fn
+        assert coerce_progress(None) is None
+        assert coerce_progress(False) is None
+        assert isinstance(coerce_progress(True), CampaignHeartbeat)
+        heartbeat = CampaignHeartbeat()
+        assert coerce_progress(heartbeat) is heartbeat
+        ticks = []
+        consume = coerce_progress(lambda done, total: ticks.append((done, total)))
+        consume(self._envelope("run_start", n_injections=10))
+        consume(self._envelope("chunk", done=4, total=10))
+        assert ticks == [(4, 10)]
         with pytest.raises(TypeError, match="progress"):
-            coerce_progress(3, None)
-
-
-class TestMetricsMerge:
-    def _worker_registry(self, k):
-        """Distinct per-worker metrics (dyadic values keep float sums exact)."""
-        reg = MetricsRegistry()
-        reg.counter("campaign.injections", help="inj").inc(4 * k)
-        reg.gauge("campaign.cache_bytes").set(256.0 * k)
-        hist = reg.histogram("campaign.chunk_seconds", buckets=(0.5, 2.0))
-        hist.observe(0.25 * k)
-        hist.observe(1.0 + k)
-        return reg
-
-    def test_merge_snapshot_adds_counters_gauges_and_histograms(self):
-        merged = self._worker_registry(1)
-        merged.merge_snapshot(self._worker_registry(2).snapshot())
-        assert merged["campaign.injections"].value == 12
-        assert merged["campaign.cache_bytes"].value == pytest.approx(768.0)
-        hist = merged["campaign.chunk_seconds"]
-        assert hist.count == 4
-        assert hist.counts == [2, 1, 1]  # 0.25, 0.5 | 2.0 | 3.0
-        assert hist.min == pytest.approx(0.25)
-        assert hist.max == pytest.approx(3.0)
-
-    def test_merge_creates_missing_metrics(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self._worker_registry(1).snapshot())
-        assert merged["campaign.injections"].value == 4
-        assert merged["campaign.chunk_seconds"].count == 2
-
-    def test_merge_is_associative_and_commutative(self):
-        """Any merge order over K worker snapshots gives the same registry."""
-        import itertools
-
-        snapshots = {k: self._worker_registry(k).snapshot() for k in (1, 2, 3)}
-        outcomes = set()
-        for order in itertools.permutations((1, 2, 3)):
-            merged = MetricsRegistry()
-            for k in order:
-                merged.merge_snapshot(snapshots[k])
-            outcomes.add(json.dumps(merged.snapshot(), sort_keys=True))
-        assert len(outcomes) == 1
-
-    def test_merge_returns_self_for_chaining(self):
-        reg = MetricsRegistry()
-        assert reg.merge_snapshot(self._worker_registry(1).snapshot()) is reg
-
-    def test_histogram_bucket_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.histogram("campaign.chunk_seconds", buckets=(1.0, 10.0))
-        with pytest.raises(ValueError, match="bucket bounds differ"):
-            reg.merge_snapshot(self._worker_registry(1).snapshot())
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            MetricsRegistry().merge_snapshot({"schema": 99})
+            coerce_progress(3)

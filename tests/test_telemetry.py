@@ -2,11 +2,12 @@
 
 Covers the envelope bus (schema, ordering, bounded queues with honest
 drop counters), the flight recorder (ring semantics, schema-versioned
-dumps), the Prometheus text exporter, the heartbeat terminal-line and
-ETA-clamp fixes, the NDJSON streaming server (multi-client fan-out, torn
-frames, slow-client eviction), the sampler gauges, ``repro top``'s
-aggregator/renderer in both live and recorded modes, and the CLI
-``--stream`` / ``--metrics-out`` / ``telemetry`` JSON block wiring.
+dumps), the Prometheus text exporter, the progress meter (rate and ETA
+clamp) and the heartbeat renderer's terminal line, the NDJSON streaming
+server (multi-client fan-out, torn frames, slow-client eviction), the
+sampler gauges, ``repro top``'s aggregator/renderer in both live and
+recorded modes, and the CLI ``--stream`` / ``--metrics-out`` /
+``telemetry`` JSON block wiring.
 
 The load-bearing invariant throughout is the ISSUE's acceptance bar:
 telemetry is *observation only* — a streamed campaign produces bitwise-
@@ -14,6 +15,7 @@ identical outcomes, per-layer tallies, RNG stream, and cache statistics
 to an unstreamed one, serial and parallel alike.
 """
 
+import io
 import json
 import math
 import multiprocessing
@@ -29,9 +31,9 @@ import pytest
 
 from repro.campaign import InjectionCampaign
 from repro.cli import main
-from repro.core import SingleBitFlip
+from repro.core import SingleBitFlip, StuckAt
 from repro.profile import MetricsRegistry
-from repro.profile.heartbeat import CampaignHeartbeat
+from repro.profile.heartbeat import CampaignHeartbeat, ProgressMeter
 from repro.telemetry import (
     ENVELOPE_SCHEMA,
     FLIGHT_SCHEMA,
@@ -43,7 +45,6 @@ from repro.telemetry import (
     TelemetrySampler,
     TelemetryServer,
     TopAggregator,
-    WorkerTelemetryRelay,
     coerce_bus,
     load_flight_dump,
     make_envelope,
@@ -142,20 +143,34 @@ class TestBus:
         assert isinstance(fresh.recorder, FlightRecorder)
         bus = TelemetryBus()
         assert coerce_bus(bus) is bus
-        relay = WorkerTelemetryRelay(1)
-        assert coerce_bus(relay) is relay
         with pytest.raises(TypeError, match="telemetry must be"):
             coerce_bus(42)
 
-    def test_worker_relay_buffers_and_tags(self):
-        relay = WorkerTelemetryRelay(3)
-        relay.publish("observe", "injection", {"index": 0})
-        relay.publish("campaign", "chunk", {"chunk": 1}, worker=9)
-        rows = relay.take()
-        assert rows == [("observe", "injection", {"index": 0}, 3),
-                        ("campaign", "chunk", {"chunk": 1}, 9)]
-        assert relay.take() == []
-        assert relay.events_published == 2
+    def test_consumers_see_every_envelope_in_order_recorder_first(self):
+        recorder = FlightRecorder()
+        bus = TelemetryBus(recorder=recorder)
+        seen = []
+
+        def consume(envelope):
+            seen.append((len(recorder), envelope["seq"]))
+
+        bus.add_consumer(consume)
+        for i in range(3):
+            bus.publish("campaign", "chunk", {"i": i})
+        bus.remove_consumer(consume)
+        bus.publish("campaign", "chunk", {"i": 3})
+        # Synchronous and lossless, after the recorder captured each one.
+        assert seen == [(1, 0), (2, 1), (3, 2)]
+
+    def test_consumer_errors_propagate_out_of_publish(self):
+        bus = TelemetryBus()
+
+        def broken(envelope):
+            raise OSError("sink full")
+
+        bus.add_consumer(broken)
+        with pytest.raises(OSError, match="sink full"):
+            bus.publish("observe", "injection", {"index": 0})
 
 
 # ---------------------------------------------------------------------- #
@@ -255,7 +270,7 @@ class TestPrometheusText:
 
 
 # ---------------------------------------------------------------------- #
-# Heartbeat fixes (satellite)
+# The progress meter and the heartbeat renderer
 # ---------------------------------------------------------------------- #
 
 class _FakeClock:
@@ -277,13 +292,53 @@ class _Lines:
         pass
 
 
+def _feed(heartbeat, kind, **data):
+    heartbeat(make_envelope("hb", 0, "campaign", kind, data))
+
+
+def _chunk(heartbeat, done, total, rate=0.0, eta_s=None):
+    _feed(heartbeat, "chunk", done=done, total=total, rate=rate, eta_s=eta_s,
+          cache_hit_rate=None)
+
+
+class TestProgressMeter:
+    def test_eta_is_clamped_finite_and_non_negative(self):
+        clock = _FakeClock()
+        meter = ProgressMeter(100, clock=clock)
+        readings = [meter.update(10, executed=True)]
+        clock.now += 2.0
+        readings.append(meter.update(60, executed=True))  # 25/s, eta 1.6s
+        clock.now += 1.0
+        readings.append(meter.update(120, executed=True))  # overshoot
+        assert readings[1] == (25.0, 1.6)
+        for rate, eta in readings:
+            assert math.isfinite(rate) and rate >= 0
+            assert eta is None or (math.isfinite(eta) and eta >= 0)
+        assert readings[2][1] == 0.0
+
+    def test_zero_elapsed_rate_is_zero_not_nan(self):
+        meter = ProgressMeter(100, clock=_FakeClock())
+        assert meter.update(5, executed=True) == (0.0, None)
+
+    def test_journaled_chunks_do_not_start_the_clock(self):
+        clock = _FakeClock()
+        meter = ProgressMeter(100, clock=clock)
+        assert meter.update(50, executed=False) == (0.0, None)
+        clock.now += 5.0
+        meter.update(60, executed=True)  # the anchor: first executed chunk
+        clock.now += 1.0
+        assert meter.update(70, executed=True) == (10.0, 3.0)
+
+
 class TestHeartbeat:
     def test_final_line_always_emits_despite_rate_limit(self):
         clock, out = _FakeClock(), _Lines()
         hb = CampaignHeartbeat(interval_s=60.0, stream=out, clock=clock)
-        hb(0, 100)
+        _feed(hb, "run_start", n_injections=100)
+        _chunk(hb, 50, 100)
         clock.now += 0.01  # far inside the rate-limit window
-        hb(100, 100)  # must bypass the interval: it is the terminal line
+        _chunk(hb, 100, 100)
+        _feed(hb, "run_end", injections=100, corruptions=0)
         text = "".join(out.lines)
         assert "100/100" in text
         assert "done" in text
@@ -291,74 +346,41 @@ class TestHeartbeat:
     def test_terminal_line_prints_exactly_once(self):
         clock, out = _FakeClock(), _Lines()
         hb = CampaignHeartbeat(interval_s=0.0, stream=out, clock=clock)
-        hb(0, 10)
+        _feed(hb, "run_start", n_injections=10)
+        _chunk(hb, 5, 10)
         clock.now += 1.0
-        hb(10, 10)
-        hb(10, 10)          # merge path repeats the final call
-        hb.finish(10, 10)   # and the executor's finish() follows
+        _chunk(hb, 10, 10)
+        _feed(hb, "run_end", injections=10, corruptions=0)
         assert sum("done" in line for line in out.lines) == 1
 
-    def test_finish_forces_terminal_line_when_short(self):
+    def test_run_end_forces_terminal_line_when_short(self):
         """A quarantined run never reaches done == total on its own."""
         clock, out = _FakeClock(), _Lines()
         hb = CampaignHeartbeat(interval_s=60.0, stream=out, clock=clock)
-        hb(0, 100)
+        _feed(hb, "run_start", n_injections=100)
+        _chunk(hb, 20, 100)
         clock.now += 0.01
-        hb(40, 100)  # suppressed by the interval
-        hb.finish(40, 100)
-        text = "".join(out.lines)
-        assert "40/100" in text
-        assert "done" in text
-
-    def test_eta_is_clamped_finite_and_non_negative(self):
-        class _Bus:
-            def __init__(self):
-                self.ticks = []
-
-            def publish(self, source, kind, data, worker=None):
-                self.ticks.append(data)
-
-        class _Campaign:
-            telemetry = _Bus()
-            _resume = None
-
-        clock, out = _FakeClock(), _Lines()
-        hb = CampaignHeartbeat(campaign=_Campaign(), interval_s=0.0,
-                               stream=out, clock=clock)
-        hb(0, 100)
-        clock.now += 2.0
-        hb(50, 100)        # healthy: rate 25/s, eta 2s
-        clock.now += 1.0
-        hb(120, 100)       # overshoot: done > total must not go negative
-        for tick in _Campaign.telemetry.ticks:
-            rate, eta = tick["rate"], tick["eta_s"]
-            assert math.isfinite(rate) and rate >= 0
-            assert eta is None or (math.isfinite(eta) and eta >= 0)
-        assert not any("nan" in line or "eta -" in line for line in out.lines)
-
-    def test_zero_elapsed_rate_is_zero_not_nan(self):
-        clock, out = _FakeClock(), _Lines()
-        hb = CampaignHeartbeat(interval_s=0.0, stream=out, clock=clock)
-        hb(5, 100)  # first tick: elapsed == 0
-        assert "nan" not in "".join(out.lines)
+        _chunk(hb, 40, 100)  # suppressed by the interval
+        _feed(hb, "run_end", injections=40, corruptions=0)
+        last = "".join(out.lines).splitlines()[-1]
+        assert "40/100" in last and last.endswith("done")
 
     def test_lines_route_through_the_bus(self):
+        """Every line renders an envelope the bus delivered; other sources,
+        like the sampler's gauges, print nothing."""
         bus = TelemetryBus()
-        sub = bus.subscribe()
-
-        class _Campaign:
-            telemetry = bus
-            _resume = None
-
         clock, out = _FakeClock(), _Lines()
-        hb = CampaignHeartbeat(campaign=_Campaign(), interval_s=0.0,
-                               stream=out, clock=clock)
-        hb(0, 10)
-        clock.now += 1.0
-        hb(10, 10)
-        ticks = [e for e in sub.drain() if e["source"] == "heartbeat"]
-        assert [t["data"]["done"] for t in ticks] == [0, 10]
-        assert ticks[-1]["data"]["final"] is True
+        hb = CampaignHeartbeat(interval_s=0.0, stream=out, clock=clock)
+        bus.add_consumer(hb)
+        bus.publish("campaign", "run_start", {"n_injections": 10})
+        bus.publish("campaign", "chunk", {"done": 4, "total": 10, "rate": 8.0,
+                                          "eta_s": 0.75, "cache_hit_rate": 0.5})
+        bus.publish("sampler", "gauges", {"done": 4, "total": 10})
+        bus.publish("campaign", "run_end", {"injections": 10, "corruptions": 1})
+        lines = "".join(out.lines).splitlines()
+        assert hb.ticks == len(lines) == 2
+        assert lines[0].endswith("4/10 injections | 8.0 inj/s | eta 0.8s | cache hit 50%")
+        assert lines[1].endswith("done")
 
 
 # ---------------------------------------------------------------------- #
@@ -388,8 +410,7 @@ class TestScienceInvariance:
         assert _science_tallies(streamed) == _science_tallies(base)
         assert _rng_probe(streamed) == base_probe
         events = sub.drain()
-        assert {e["source"] for e in events} >= {"campaign", "observe",
-                                                "heartbeat"}
+        assert {e["source"] for e in events} >= {"campaign", "observe"}
         assert all(e["source"] in SOURCES for e in events)
         assert bus.events_dropped == 0
         # The bus detaches at run end: publishing stops with the campaign.
@@ -419,8 +440,7 @@ class TestScienceInvariance:
         assert _rng_probe(streamed) == base_probe
         events = sub.drain()
         sources = {e["source"] for e in events}
-        assert sources >= {"campaign", "observe", "heartbeat", "recovery",
-                           "worker"}
+        assert sources >= {"campaign", "observe", "recovery", "worker"}
         # Worker-shard events are attributed to their worker.
         tagged = [e for e in events if e["worker"] is not None]
         assert {e["worker"] for e in tagged} == {0, 1, 2, 3}
@@ -542,6 +562,16 @@ class TestServer:
         server.stop()
 
 
+class _PerfCampaign:
+    """Stands in for a campaign: the sampler reads only ``perf``."""
+
+    def __init__(self, forwards, forwards_saved):
+        from repro.perf import CampaignPerfCounters
+
+        self.perf = CampaignPerfCounters(forwards=forwards,
+                                         forwards_saved=forwards_saved)
+
+
 class TestSampler:
     def test_gauges_derive_from_bus_traffic(self):
         bus = TelemetryBus()
@@ -549,7 +579,8 @@ class TestSampler:
         sampler = TelemetrySampler(bus, interval_s=60.0)  # manual sampling
         sampler.start()
         bus.publish("campaign", "run_start", {"n_injections": 100})
-        bus.publish("heartbeat", "tick", {"done": 40, "total": 100})
+        bus.publish("campaign", "chunk", {"done": 40, "total": 100, "rate": 20.0,
+                                          "eta_s": 3.0, "cache_hit_rate": 0.75})
         bus.publish("worker", "spawn", {"wid": 0, "pid": os.getpid()})
         sampler.stop()
         gauges = [e for e in sub.drain() if e["source"] == "sampler"]
@@ -557,18 +588,19 @@ class TestSampler:
         final = gauges[-1]["data"]
         assert final["done"] == 40
         assert final["total"] == 100
+        assert (final["inj_per_s"], final["eta_s"], final["cache_hit_rate"]) \
+            == (20.0, 3.0, 0.75)
         assert final["rss_kb"] is None or final["rss_kb"] > 0
         assert final["workers"][0]["wid"] == 0
         assert final["workers"][0]["alive"] is True
-        assert final["eta_s"] is None or final["eta_s"] >= 0
 
     def test_chunk_tallies_advance_progress_without_heartbeat(self):
         bus = TelemetryBus()
         sub = bus.subscribe()
         sampler = TelemetrySampler(bus, interval_s=60.0)
         sampler.start()
-        for _ in range(3):
-            bus.publish("campaign", "chunk", {"injections": 4})
+        for done in (4, 8, 12):
+            bus.publish("campaign", "chunk", {"done": done, "total": 12})
         sampler.stop()
         final = [e for e in sub.drain() if e["source"] == "sampler"][-1]
         assert final["data"]["done"] == 12
@@ -576,32 +608,22 @@ class TestSampler:
     def test_lane_occupancy_gauges(self):
         bus = TelemetryBus()
         sub = bus.subscribe()
-        sampler = TelemetrySampler(bus, interval_s=60.0)
+        # Two lane-packed forwards hosting 8 + 4 injections.
+        sampler = TelemetrySampler(bus, campaign=_PerfCampaign(2, 10),
+                                   interval_s=60.0)
         sampler.start()
-        # Two lane-packed chunk envelopes: 8 + 4 injections over 2 forwards.
-        bus.publish("campaign", "chunk", {"injections": 8, "lanes": 8})
-        bus.publish("campaign", "chunk", {"injections": 4, "lanes": 4})
         sampler.stop()
         final = [e for e in sub.drain() if e["source"] == "sampler"][-1]["data"]
         assert final["lane_occupancy"] == 6.0
         assert final["forwards_saved"] == 10
 
-    def test_lane_gauges_absent_traffic_and_legacy_streams(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe()
-        sampler = TelemetrySampler(bus, interval_s=60.0)
-        sampler.start()
-        sampler.stop()
-        final = [e for e in sub.drain() if e["source"] == "sampler"][-1]["data"]
-        assert final["lane_occupancy"] is None  # no chunks seen
-        bus2 = TelemetryBus()
-        sub2 = bus2.subscribe()
-        sampler2 = TelemetrySampler(bus2, interval_s=60.0)
-        sampler2.start()
-        bus2.publish("campaign", "chunk", {"injections": 4})  # pre-lane stream
-        sampler2.stop()
-        final2 = [e for e in sub2.drain() if e["source"] == "sampler"][-1]["data"]
-        assert final2["lane_occupancy"] == 4.0  # injections count as lanes
+    def test_lane_gauges_absent_without_forwards(self):
+        for campaign in (None, _PerfCampaign(0, 0)):
+            bus = TelemetryBus()
+            sub = bus.subscribe()
+            TelemetrySampler(bus, campaign=campaign, interval_s=60.0).start().stop()
+            final = [e for e in sub.drain() if e["source"] == "sampler"][-1]["data"]
+            assert final["lane_occupancy"] is None  # no forwards seen
 
     def test_stop_is_idempotent(self):
         sampler = TelemetrySampler(TelemetryBus(), interval_s=60.0).start()
@@ -655,9 +677,10 @@ class TestTop:
         agg.ingest(_env("worker", "spawn", {"wid": 0, "pid": 42}))
         agg.ingest(_env("worker", "spawn", {"wid": 1, "pid": 43}))
         agg.ingest(_env("campaign", "chunk",
-                        {"layer": 2, "injections": 10, "corruptions": 1}))
-        agg.ingest(_env("heartbeat", "tick",
-                        {"done": 50, "total": 100, "rate": 25.0}))
+                        {"layer": 2, "injections": 3, "corruptions": 1,
+                         "tallies": [[2, 0], [2, 1], [3, 0]],
+                         "done": 60, "total": 100, "rate": 25.0,
+                         "eta_s": 1.6, "cache_hit_rate": 0.9}))
         agg.ingest(_env("sampler", "gauges",
                         {"done": 60, "total": 100, "inj_per_s": 30.0,
                          "eta_s": 1.5, "cache_hit_rate": 0.9,
@@ -670,24 +693,66 @@ class TestTop:
         assert agg.run == "toprun"
         assert agg.done == 60 and agg.total == 100
         assert agg.finished and agg.skipped == 1
-        assert agg.layer_injections[2] == 10
+        assert agg.layer_injections == {2: 2, 3: 1}
+        assert agg.outcomes[2] == 1
         board = render(agg)
         assert "60/100" in board
         assert "done" in board
         assert "DIED" in board
         assert "cache hit" in board
 
-    def test_run_top_renders_a_flight_dump(self, tmp_path, capsys):
-        bus = TelemetryBus(recorder=FlightRecorder())
-        bus.publish("campaign", "run_start", {"n_injections": 10})
-        bus.publish("heartbeat", "tick", {"done": 10, "total": 10})
-        bus.publish("campaign", "run_aborted", {"reason": "interrupt"})
-        dump = bus.dump_flight("interrupt", out_dir=tmp_path)
-        assert run_top(str(dump)) == 0
-        out = capsys.readouterr().out
+    def test_per_layer_counts_match_a_lane_packed_campaign(self,
+                                                           trained_tiny_model):
+        """Weight lanes mix layers; top credits each lane's own layer."""
+        model, dataset, _ = trained_tiny_model
+        campaign = InjectionCampaign(model, dataset, error_model=StuckAt(1e20),
+                                     batch_size=8, pool_size=16, rng=3,
+                                     target="weight")
+        bus = TelemetryBus()
+        sub = bus.subscribe(maxlen=100_000)
+        result = campaign.run(32, telemetry=bus)
+        agg = TopAggregator()
+        for env in sub.drain():
+            agg.ingest(env)
+        layers = range(campaign.fi.num_layers)
+        assert [agg.layer_injections[j] for j in layers] \
+            == result.per_layer_injections.tolist()
+        assert [agg.outcomes[j] for j in layers] \
+            == result.per_layer_corruptions.tolist()
+        assert agg.done == agg.total == 32
+
+    def test_run_top_renders_a_flight_dump(self, tmp_path):
+        """SIGTERM mid-campaign leaves exactly one interrupt dump, which
+        ``repro top`` renders as an aborted run."""
+        from tests.test_recovery import _cli, _wait_for_journal
+
+        journal = tmp_path / "j.jsonl"
+        proc = _cli(["inject", "alexnet", "--scale", "smoke", "--campaign",
+                     "20000", "--batch-size", "8", "--json", "--journal",
+                     str(journal), "--out-dir", str(tmp_path)],
+                    start_new_session=True)
+        try:
+            _wait_for_journal(journal, min_chunks=2)
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130
+        dumps = sorted(tmp_path.glob("flight_*.json"))
+        assert len(dumps) == 1, dumps
+        payload = load_flight_dump(dumps[0])
+        assert payload["reason"] == "interrupt"
+        assert payload["events"]
+        assert all(e["schema"] == ENVELOPE_SCHEMA and e["run"] == payload["run"]
+                   for e in payload["events"])
+        render = _cli(["top", str(dumps[0])])
+        out, err = render.communicate(timeout=60)
+        assert render.returncode == 0, err
         assert "ABORTED (interrupt)" in out
         assert "flight dump:" in out
-        assert "10/10" in out
+        assert "/20000" in out
 
     def test_run_top_rejects_a_non_dump_file(self, tmp_path, capsys):
         bogus = tmp_path / "x.json"
@@ -703,7 +768,7 @@ class TestTop:
             def feed():
                 time.sleep(0.2)
                 bus.publish("campaign", "run_start", {"n_injections": 4})
-                bus.publish("heartbeat", "tick", {"done": 4, "total": 4})
+                bus.publish("campaign", "chunk", {"done": 4, "total": 4})
                 bus.publish("campaign", "run_end", {"injections": 4})
 
             feeder = threading.Thread(target=feed)
@@ -804,36 +869,42 @@ class TestCli:
 
         collected = {}
 
-        def reader():
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                try:
-                    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    client.connect(str(sock_path))
-                    break
-                except OSError:
-                    time.sleep(0.02)
-            else:
-                collected["events"] = []
-                return
-            events, _ = _read_stream(client, deadline_s=60.0)
-            client.close()
-            collected["events"] = events
+        def reader():  # ``repro top SOCK --raw`` until the stream closes
+            out = io.StringIO()
+            collected["rc"] = run_top(str(sock_path), raw=True, out=out,
+                                      connect_timeout=15.0)
+            collected["events"] = [json.loads(line)
+                                   for line in out.getvalue().splitlines()]
 
         thread = threading.Thread(target=reader)
         thread.start()
-        code = main(["inject", "alexnet", "--scale", "smoke", "--campaign",
-                     "24", "--batch-size", "8", "--json",
-                     "--stream", str(sock_path), "--out-dir", str(tmp_path)])
+        args = ["inject", "alexnet", "--scale", "smoke", "--campaign", "24",
+                "--batch-size", "8", "--json", "--stream", str(sock_path),
+                "--journal", str(tmp_path / "j.jsonl"),
+                "--observe", str(tmp_path / "o.jsonl"),
+                "--out-dir", str(tmp_path)]
+        code = main(args + (["--workers", "2"] if HAS_FORK else []))
         thread.join()
         assert code == 0
+        assert collected["rc"] == 0
         record = json.loads(capsys.readouterr().out)
         assert record["telemetry"]["clients_served"] == 1
+        assert record["telemetry"]["recorder_dump"] is None
         events = collected["events"]
         assert events, "reader saw no envelopes"
+        fields = {"schema", "run", "seq", "source", "kind", "t_wall", "t_mono",
+                  "worker", "data"}
+        assert all(set(e) == fields for e in events)
         assert all(e["schema"] == ENVELOPE_SCHEMA for e in events)
+        assert len({e["run"] for e in events}) == 1
         sources = {e["source"] for e in events}
-        assert "campaign" in sources and "heartbeat" in sources
+        assert sources >= {"campaign", "observe", "recovery", "sampler"}
+        if HAS_FORK:
+            assert "worker" in sources
+        last = [e["data"] for e in events
+                if (e["source"], e["kind"]) == ("campaign", "chunk")][-1]
+        assert last["done"] == last["total"] == 24
+        assert math.isfinite(last["rate"])
 
     def test_inject_observe_requires_campaign(self, capsys):
         assert main(["inject", "alexnet", "--observe", "x.jsonl"]) == 2
