@@ -47,16 +47,6 @@ from ..observe.sinks import JsonlEventSink, load_events
 
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Perf-counter keys a chunk record carries.  The first four fold directly
-#: into ``campaign.perf`` (they accumulate during chunk execution); the
-#: rest are engine/cache deltas folded through ``campaign._parallel_deltas``
-#: exactly like a parallel worker's report.
-_DIRECT_PERF_KEYS = ("forwards", "forwards_saved", "resumed_forwards",
-                     "layer_forwards_executed", "layer_forwards_skipped")
-_DELTA_PERF_KEYS = ("capture_forwards", "cache_hits", "cache_misses",
-                    "cache_evictions", "cache_bytes")
-CHUNK_PERF_KEYS = _DIRECT_PERF_KEYS + _DELTA_PERF_KEYS
-
 
 class JournalError(ValueError):
     """A campaign journal could not be used."""
@@ -160,45 +150,8 @@ def plan_fingerprint(campaign, n_injections, plan):
 
 
 # ---------------------------------------------------------------------- #
-# Per-chunk perf accounting
+# Chunk records
 # ---------------------------------------------------------------------- #
-
-def perf_snapshot(campaign):
-    """Counter state read before a chunk runs; diff with :func:`perf_delta`."""
-    perf = campaign.perf
-    engine = campaign._resume
-    if engine is not None:
-        cache = engine.cache
-        eng = (engine.capture_forwards, cache.hits, cache.misses,
-               cache.evictions, cache.bytes_used)
-    else:
-        eng = (0, 0, 0, 0, 0)
-    return (perf.forwards, perf.forwards_saved, perf.resumed_forwards,
-            perf.layer_forwards_executed, perf.layer_forwards_skipped) + eng
-
-
-def perf_delta(campaign, before):
-    """What one chunk's execution added to the counters, as a flat dict."""
-    after = perf_snapshot(campaign)
-    return {key: int(after[i] - before[i])
-            for i, key in enumerate(CHUNK_PERF_KEYS)}
-
-
-def apply_chunk_perf(campaign, perf):
-    """Fold a completed chunk's perf record into the campaign's ledgers.
-
-    Direct tallies add onto ``campaign.perf``; engine/cache deltas add onto
-    the ``_parallel_deltas`` ledger that ``_finalize_perf`` sums with this
-    process's engine absolutes — the same path parallel workers use, so a
-    journaled chunk and a freshly executed one account identically.
-    """
-    p = campaign.perf
-    for key in _DIRECT_PERF_KEYS:
-        setattr(p, key, getattr(p, key) + int(perf.get(key, 0)))
-    d = campaign._parallel_deltas
-    for key in _DELTA_PERF_KEYS:
-        setattr(d, key, getattr(d, key) + int(perf.get(key, 0)))
-
 
 def fold_chunk_tallies(record, per_layer_inj, per_layer_cor):
     """Fold one chunk record's per-layer tallies into the given arrays.

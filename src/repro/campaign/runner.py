@@ -44,6 +44,10 @@ from .resume import DEFAULT_BUDGET_BYTES, CampaignResumeEngine
 from .stats import Proportion
 from .trace import margin
 
+# The resume engine's tallies that ``perf`` mirrors, as chunk-record keys.
+_ENGINE_PERF_KEYS = ("capture_forwards", "cache_hits", "cache_misses",
+                     "cache_evictions", "cache_bytes")
+
 
 @dataclass
 class CampaignResult:
@@ -89,6 +93,9 @@ class InjectionCampaign:
         and instruments/uninstruments the clone per batch of trials).
     dataset:
         A :class:`repro.data.SyntheticClassification` used to draw inputs.
+        A dataset whose ``sample`` returns ``None`` labels (such as
+        :class:`repro.data.SelfLabelledDataset`) is labelled with the clean
+        model's own predictions by the pool-screening forward.
     error_model:
         The perturbation model; defaults to a single random bit flip.
     criterion:
@@ -132,10 +139,9 @@ class InjectionCampaign:
         Optional :class:`repro.profile.Profiler` (or ``True`` for a fresh
         one).  When set, the campaign opens spans around its phases (pool
         build, planning, each injection chunk, resume capture/plan,
-        observation) annotated with cache hit/miss/eviction deltas, and
-        publishes its perf counters into ``profiler.metrics``.  Profiling
-        is bitwise invisible: outcomes, RNG stream, and cache statistics
-        are identical with and without it.
+        observation) annotated with cache hit/miss/eviction deltas.
+        Profiling is bitwise invisible: outcomes, RNG stream, and cache
+        statistics are identical with and without it.
     """
 
     def __init__(self, model, dataset, error_model=None, criterion="top1", batch_size=16,
@@ -209,11 +215,6 @@ class InjectionCampaign:
         # to drive invalidation.
         self._resident_active = None
         self._resident_cache_key = None
-        # Cache/capture work done elsewhere — by parallel workers (their
-        # private forked engines) or by the run a journal replays — never
-        # advances this process's engine counters; the deltas accumulate
-        # here so ``perf`` reports totals either way.
-        self._parallel_deltas = CampaignPerfCounters()
         self.parallel_info = None  # set by parallel runs, see campaign.parallel
         with self.profiler.span("campaign.pool", cat="campaign", pool_size=pool_size):
             self._build_pool(pool_size)
@@ -221,24 +222,30 @@ class InjectionCampaign:
     def _build_pool(self, pool_size):
         """Pre-screen inputs: keep only ones the clean model gets right.
 
-        The screening forwards double as cache warming: when the resume
-        engine is live, each chunk runs as a capture and the checkpoint
-        rows of every kept element are stored under its final pool index —
-        the fast path starts warm at no extra forward cost.
+        One clean forward per 64-input chunk does all the work.  It screens
+        the chunk and, for a dataset that returns ``None`` labels, labels
+        it with its own argmax.  It doubles as cache warming: when the
+        resume engine is live, each chunk runs as a capture and the
+        checkpoint rows of every kept element are stored under its final
+        pool index — the fast path starts warm at no extra forward cost.
+        The engine work is counted into ``perf`` here, where it happens.
         """
         images, labels = self.dataset.sample(pool_size, rng=self.rng)
+        engine_before = self._engine_counts()
         keep_images, keep_labels, keep_logits = [], [], []
         kept = 0
         with no_grad():
             for start in range(0, len(images), 64):
                 chunk = images[start : start + 64]
-                chunk_labels = labels[start : start + 64]
                 if self._resume is not None:
                     out, boundaries, acts = self._resume.capture(Tensor(chunk))
                     logits = out.data
                 else:
                     logits = self._work_model(Tensor(chunk)).data
-                correct = logits.argmax(axis=1) == chunk_labels
+                predicted = logits.argmax(axis=1)
+                chunk_labels = (predicted if labels is None
+                                else labels[start : start + 64])
+                correct = predicted == chunk_labels
                 rows = np.nonzero(correct)[0]
                 if self._resume is not None and len(rows):
                     pool_indices = range(kept, kept + len(rows))
@@ -247,6 +254,7 @@ class InjectionCampaign:
                 keep_images.append(chunk[correct])
                 keep_labels.append(chunk_labels[correct])
                 keep_logits.append(logits[correct])
+        self.perf.add(self._engine_delta(engine_before))
         self.pool_images = np.concatenate(keep_images)
         self.pool_labels = np.concatenate(keep_labels)
         self.pool_logits = np.concatenate(keep_logits)
@@ -328,12 +336,15 @@ class InjectionCampaign:
         ``layer_idx`` is the chunk's *base* layer (its shallowest site —
         the resume truncation point); ``layers`` carries each position's
         own layer for mixed-layer lane groups, and defaults to every site
-        sitting at the base layer.  Returns ``(logits, resumed)``.  The
-        resume plan (including any cache refills, which need clean
-        forwards) is assembled *before* the model is instrumented, and so
-        are the observer's clean reference activations — its
-        graceful-degradation capture forward must run on the
-        uninstrumented model.
+        sitting at the base layer.  The resume plan (including any cache
+        refills, which need clean forwards) is assembled *before* the model
+        is instrumented, and so are the observer's clean reference
+        activations — its graceful-degradation capture forward must run on
+        the uninstrumented model.
+
+        Returns ``(logits, skipped)``: ``skipped`` counts the instrumentable
+        layers a resumed forward replayed from the cache, and is None for a
+        full forward.
         """
         idx = pool_idx[positions]
         prof = self.profiler
@@ -388,13 +399,10 @@ class InjectionCampaign:
                             else:
                                 logits = self._resume.segmented.run_from(
                                     seg_index, boundary).data
-                    self.perf.layer_forwards_skipped += skipped
-                    self.perf.layer_forwards_executed += self.fi.num_layers - skipped
-                    return logits, True
+                    return logits, skipped
                 with prof.span("campaign.forward", cat="campaign", layer=layer_idx):
                     logits = model(Tensor(self.pool_images[idx])).data
-                self.perf.layer_forwards_executed += self.fi.num_layers
-                return logits, False
+                return logits, None
         finally:
             self.fi.reset()
 
@@ -412,36 +420,32 @@ class InjectionCampaign:
         The record is JSON-serialisable: layer, positions, injection and
         corruption counts, per-lane ``[layer, corrupted]`` tallies, the
         chunk's perf-counter deltas and, when the run records them, its
-        trace events keyed by plan position.
+        trace events keyed by plan position.  This method writes no
+        counters: the run's fold adds the record's ``perf`` to
+        ``campaign.perf``, wherever the chunk ran.
         """
         positions = run.chunks[cid]
         pool_idx, layers, coords, seeds = run.plan
         observer = run.tracer
         prof = self.profiler
-        cache = self._resume.cache if self._resume is not None else None
         layer_idx = int(layers[positions[0]])
         idx = pool_idx[positions]
-        perf_before = recovery_mod.perf_snapshot(self)
-        cache_before = (
-            (cache.hits, cache.misses, cache.evictions)
-            if cache is not None and prof.enabled else None
-        )
+        engine_before = self._engine_counts()
         with prof.span("campaign.chunk", cat="campaign", layer=layer_idx,
                        injections=len(positions)) as chunk_span:
             chunk_started = time.perf_counter()
-            logits, resumed = self._execute_chunk(
+            logits, skipped = self._execute_chunk(
                 layer_idx, positions, pool_idx, coords, seeds,
                 observer=observer, layers=layers)
             chunk_elapsed = time.perf_counter() - chunk_started
+            engine = self._engine_delta(engine_before)
+            resumed = skipped is not None
             chunk_span.annotate(resumed=resumed)
-            if cache_before is not None:
-                chunk_span.annotate(
-                    cache_hits=cache.hits - cache_before[0],
-                    cache_misses=cache.misses - cache_before[1],
-                    cache_evictions=cache.evictions - cache_before[2])
-        self.perf.forwards += 1
-        self.perf.forwards_saved += len(positions) - 1
-        self.perf.resumed_forwards += int(resumed)
+            if self._resume is not None:
+                chunk_span.annotate(cache_hits=engine["cache_hits"],
+                                    cache_misses=engine["cache_misses"],
+                                    cache_evictions=engine["cache_evictions"])
+        skipped = skipped or 0
         labels = self.pool_labels[idx]
         flags = self.criterion(logits, labels, self.pool_logits[idx])
         # Per-lane [layer, corrupted] pairs: lane-packed chunks may mix
@@ -472,7 +476,14 @@ class InjectionCampaign:
             "injections": len(positions),
             "corruptions": corruptions,
             "tallies": tallies,
-            "perf": recovery_mod.perf_delta(self, perf_before),
+            "perf": {
+                "forwards": 1,
+                "forwards_saved": len(positions) - 1,
+                "resumed_forwards": int(resumed),
+                "layer_forwards_executed": self.fi.num_layers - skipped,
+                "layer_forwards_skipped": skipped,
+                **engine,
+            },
         }
         if run.record_events:
             margins_before = margin(self.pool_logits[idx], labels)
@@ -492,35 +503,18 @@ class InjectionCampaign:
             ]
         return record, chunk_elapsed
 
-    def _finalize_perf(self, n_injections, elapsed_s):
-        """Fold one run's execution into the lifetime ``perf`` counters.
-
-        Cache statistics are absolute reads of this process's engine plus
-        the accumulated deltas parallel workers reported (their forked
-        engines never advance ours).
-        """
-        self.perf.injections += n_injections
-        self.perf.elapsed_seconds += elapsed_s
-        if self._resume is not None:
-            cache = self._resume.cache
-            deltas = self._parallel_deltas
-            self.perf.capture_forwards = (
-                self._resume.capture_forwards + deltas.capture_forwards)
-            self.perf.cache_hits = cache.hits + deltas.cache_hits
-            self.perf.cache_misses = cache.misses + deltas.cache_misses
-            self.perf.cache_evictions = cache.evictions + deltas.cache_evictions
-            self.perf.cache_bytes = cache.bytes_used + deltas.cache_bytes
-        if self.profiler.enabled:
-            self.perf.publish(self.profiler.metrics)
-
-    def _cache_hit_rate(self):
-        """Live hit rate over the cache counters ``perf`` reports, or None."""
+    def _engine_counts(self):
+        """This process's resume-engine tallies, in ``_ENGINE_PERF_KEYS`` order."""
         if self._resume is None:
-            return None
-        cache, deltas = self._resume.cache, self._parallel_deltas
-        hits = cache.hits + deltas.cache_hits
-        lookups = hits + cache.misses + deltas.cache_misses
-        return hits / lookups if lookups else None
+            return (0,) * len(_ENGINE_PERF_KEYS)
+        cache = self._resume.cache
+        return (self._resume.capture_forwards, cache.hits, cache.misses,
+                cache.evictions, cache.bytes_used)
+
+    def _engine_delta(self, before):
+        """How far the engine's tallies moved since ``before``, keyed like ``perf``."""
+        return {key: after - prior for key, prior, after
+                in zip(_ENGINE_PERF_KEYS, before, self._engine_counts())}
 
     # ------------------------------------------------------------------ #
     # Resident (persistent) faults
@@ -540,6 +534,8 @@ class InjectionCampaign:
         key = resident.fingerprint if resident is not None else None
         if key != self._resident_cache_key:
             if self._resume is not None:
+                # The cleared rows leave the cache's byte count.
+                self.perf.cache_bytes -= self._resume.cache.bytes_used
                 self._resume.cache.clear()
             self._resident_cache_key = key
         if resident is not None:
@@ -716,7 +712,8 @@ class InjectionCampaign:
             wall = time.perf_counter() - started
             if fleet is not None:
                 fleet.finish(run, wall)
-            self._finalize_perf(run.completed_injections, wall)
+            self.perf.injections += run.completed_injections
+            self.perf.elapsed_seconds += wall
             if trace is not None:
                 for p in sorted(run.trace_events):
                     trace.record(**run.trace_events[p])
@@ -795,18 +792,17 @@ class _CampaignRun:
     def fold(self, cid, record, origin, elapsed_s=None, rows=()):
         """Fold one completed chunk record; False for a duplicate completion.
 
-        ``origin`` names where the chunk ran: ``"inline"`` in this process
-        (whose counters already advanced), ``"worker"`` on the fleet, or
-        ``"journal"`` in an earlier run (it is not rewritten to the
-        journal).  ``elapsed_s`` is an executed chunk's wall time; ``rows``
-        are the ``(source, kind, data, worker)`` rows a worker's private
-        bus collected while running it.
+        ``origin`` names where the chunk ran: ``"inline"`` in this process,
+        ``"worker"`` on the fleet, or ``"journal"`` in an earlier run (it
+        is not rewritten to the journal).  ``elapsed_s`` is an executed
+        chunk's wall time; ``rows`` are the ``(source, kind, data,
+        worker)`` rows a worker's private bus collected while running it.
 
         The record is journaled durably first; then its tallies, perf
-        delta, and trace events (by plan position) fold in, the worker's
-        rows republish verbatim on the run's bus, and one
-        ``campaign/chunk`` envelope reports the chunk with the run's
-        progress.
+        delta (into ``campaign.perf``, whatever the origin), and trace
+        events (by plan position) fold in, the worker's rows republish
+        verbatim on the run's bus, and one ``campaign/chunk`` envelope
+        reports the chunk with the run's progress.
         """
         if cid in self.done or cid in self.quarantined:
             return False  # a retried chunk's duplicate; results identical
@@ -818,8 +814,7 @@ class _CampaignRun:
                                         self.per_layer_cor)
         self.corrupted_total += record["corruptions"]
         self.completed_injections += record["injections"]
-        if origin != "inline":
-            recovery_mod.apply_chunk_perf(campaign, record["perf"])
+        perf = campaign.perf.add(record["perf"])
         self.trace_events.update(recovery_mod.chunk_record_events(record))
         bus = campaign.telemetry
         for source, kind, data, wid in rows:
@@ -839,7 +834,8 @@ class _CampaignRun:
             "total": int(self.n_injections),
             "rate": rate,
             "eta_s": eta,
-            "cache_hit_rate": campaign._cache_hit_rate(),
+            "cache_hit_rate": (perf.cache_hit_rate
+                               if perf.cache_hits + perf.cache_misses else None),
         })
         return True
 

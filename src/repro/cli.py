@@ -82,12 +82,11 @@ def _telemetry_start(args, campaign):
     from .telemetry import (FlightRecorder, TelemetryBus, TelemetrySampler,
                             TelemetryServer)
 
-    journal = getattr(args, "journal", None)
-    dump_dir = (Path(journal).parent if journal
-                else Path(getattr(args, "out_dir", None) or "results"))
+    journal = getattr(args, "journal", None)  # profile has none
+    dump_dir = Path(journal).parent if journal else Path(args.out_dir)
     bus = TelemetryBus(recorder=FlightRecorder(out_dir=dump_dir))
     server = None
-    if getattr(args, "stream", None):
+    if args.stream:
         server = TelemetryServer(bus, args.stream).start()
         print(f"telemetry: streaming NDJSON on {server.endpoint}",
               file=sys.stderr)
@@ -101,6 +100,44 @@ def _telemetry_stop(server, sampler):
         sampler.stop()
     if server is not None:
         server.stop()
+
+
+def _run_under_telemetry(args, campaign, execute, progress_note, resume_hint):
+    """Run ``execute(bus)`` under the CLI's telemetry plane.
+
+    The one interrupt and teardown path of ``inject --campaign`` and the
+    scenario commands.  Returns ``(result, bus, server)`` with the plane
+    stopped.  On SIGINT/SIGTERM ``result`` is None and the interrupt is
+    already reported: the ``--json`` record, or stderr lines naming the
+    progress (``progress_note`` qualifies it), how to resume a journaled
+    run (``resume_hint``, formatted with ``journal``) and the flight dump.
+    """
+    from .campaign import CampaignInterrupted
+
+    bus, server, sampler = _telemetry_start(args, campaign)
+    try:
+        return execute(bus), bus, server
+    except KeyboardInterrupt as exc:
+        partial = exc.partial if isinstance(exc, CampaignInterrupted) else {}
+        _telemetry_stop(server, sampler)
+        if args.json:
+            print(json.dumps({"ok": False, "interrupted": True,
+                              "telemetry": _telemetry_block(bus, server),
+                              **partial}, sort_keys=True))
+        elif not partial:
+            print("interrupted", file=sys.stderr)
+        else:
+            print(f"interrupted: {partial['completed_injections']}"
+                  f"/{partial['n_injections']} injections{progress_note} "
+                  f"completed", file=sys.stderr)
+            if partial.get("journal"):
+                print(resume_hint.format(journal=partial["journal"]),
+                      file=sys.stderr)
+            if bus.recorder.last_dump is not None:
+                print(f"flight dump: {bus.recorder.last_dump}", file=sys.stderr)
+        return None, bus, server
+    finally:
+        _telemetry_stop(server, sampler)
 
 
 def _telemetry_block(bus, server):
@@ -123,7 +160,7 @@ def _cmd_profile(args):
     if args.model_flag is None and not args.campaign:
         if args.stream or args.metrics_out:
             print("error: --stream/--metrics-out need a runtime profile "
-                  "(--model or --campaign)", file=sys.stderr)
+                  "of a campaign (--campaign N)", file=sys.stderr)
             return 2
         return _profile_layer_table(args, model_name)
     return _profile_runtime(args, model_name)
@@ -148,7 +185,7 @@ def _profile_layer_table(args, model_name):
 
 
 def _profile_runtime(args, model_name):
-    """The runtime profile: spans + metrics + Chrome-trace artifacts."""
+    """The runtime profile: spans + Chrome-trace artifacts (+ counters)."""
     from . import models, tensor
     from .campaign import InjectionCampaign
     from .data import SelfLabelledDataset, SyntheticClassification
@@ -159,12 +196,12 @@ def _profile_runtime(args, model_name):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.workers > 1 and not args.campaign:
-        print("error: --workers requires --campaign N", file=sys.stderr)
-        return 2
-    if args.stream and not args.campaign:
-        print("error: --stream requires --campaign N", file=sys.stderr)
-        return 2
+    # Each needs a campaign; --metrics-out renders its counters.
+    for flag, given in (("--workers", args.workers > 1), ("--stream", args.stream),
+                        ("--metrics-out", args.metrics_out)):
+        if given and not args.campaign:
+            print(f"error: {flag} requires --campaign N", file=sys.stderr)
+            return 2
     if args.batch_size is None:
         args.batch_size = 16 if args.campaign else 1
     try:
@@ -198,6 +235,7 @@ def _profile_runtime(args, model_name):
                 "seed": args.seed,
                 "injections": args.campaign,
                 "corruptions": result.corruptions,
+                "perf": campaign.perf.as_dict(),
             }
             if campaign.parallel_info is not None:
                 meta["workers"] = campaign.parallel_info["workers"]
@@ -221,15 +259,14 @@ def _profile_runtime(args, model_name):
     if args.metrics_out:
         metrics_path = Path(args.metrics_out)
         metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(profiler.metrics.to_prometheus_text(),
-                                encoding="utf-8")
+        metrics_path.write_text(campaign.perf.prometheus_text(), encoding="utf-8")
         print(f"wrote {metrics_path}")
     return 0
 
 
 def _inject_fail(args, message):
     """Resolution errors: JSON on stdout under ``--json``, else stderr."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"ok": False, "error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)
@@ -251,7 +288,7 @@ def _inject_campaign(args):
     import time
 
     from . import models, tensor
-    from .campaign import CampaignInterrupted, InjectionCampaign
+    from .campaign import InjectionCampaign
     from .data import SelfLabelledDataset, SyntheticClassification
 
     tensor.manual_seed(args.seed)
@@ -269,7 +306,7 @@ def _inject_campaign(args):
         net, dataset, batch_size=args.batch_size,
         pool_size=max(32, 2 * args.batch_size), rng=args.seed,
         layer=args.layer, network_name=args.model,
-        lane_packing=not getattr(args, "no_lane_packing", False))
+        lane_packing=not args.no_lane_packing)
     if args.layer is not None and not 0 <= args.layer < campaign.fi.num_layers:
         return _inject_fail(
             args,
@@ -277,45 +314,20 @@ def _inject_campaign(args):
             f"{campaign.fi.num_layers} instrumentable layers "
             f"(0..{campaign.fi.num_layers - 1})",
         )
-    bus, server, sampler = _telemetry_start(args, campaign)
     started = time.perf_counter()
-    try:
-        # A --stream'ed --json run still drives the heartbeat: progress
-        # lines go to stderr, so stdout's one JSON record stays clean
-        # while the socket carries the same progress envelopes.
-        result = campaign.run(args.campaign, workers=args.workers,
-                              progress=bool(args.stream) or not args.json,
-                              journal=args.journal, observe=args.observe,
-                              telemetry=bus)
-    except CampaignInterrupted as exc:
-        partial = exc.partial
-        _telemetry_stop(server, sampler)
-        if args.json:
-            print(json.dumps({"ok": False, "interrupted": True,
-                              "telemetry": _telemetry_block(bus, server),
-                              **partial}, sort_keys=True))
-        else:
-            print(f"interrupted: {partial['completed_injections']}"
-                  f"/{partial['n_injections']} injections completed",
-                  file=sys.stderr)
-            if partial.get("journal"):
-                print(f"resume with: repro inject {args.model} --campaign "
-                      f"{args.campaign} --seed {args.seed} --journal "
-                      f"{partial['journal']}", file=sys.stderr)
-            if bus.recorder.last_dump is not None:
-                print(f"flight dump: {bus.recorder.last_dump}", file=sys.stderr)
+    # A --stream'ed --json run still drives the heartbeat: progress lines
+    # go to stderr, so stdout's one JSON record stays clean while the
+    # socket carries the same progress envelopes.
+    result, bus, server = _run_under_telemetry(
+        args, campaign,
+        lambda bus: campaign.run(args.campaign, workers=args.workers,
+                                 progress=bool(args.stream) or not args.json,
+                                 journal=args.journal, observe=args.observe,
+                                 telemetry=bus),
+        "", f"resume with: repro inject {args.model} --campaign "
+            f"{args.campaign} --seed {args.seed} --journal {{journal}}")
+    if result is None:
         return 130
-    except KeyboardInterrupt:
-        _telemetry_stop(server, sampler)
-        if args.json:
-            print(json.dumps({"ok": False, "interrupted": True,
-                              "telemetry": _telemetry_block(bus, server)},
-                             sort_keys=True))
-        else:
-            print("interrupted", file=sys.stderr)
-        return 130
-    finally:
-        _telemetry_stop(server, sampler)
     wall = time.perf_counter() - started
     info = campaign.parallel_info
     workers_used = info["workers"] if info else 1
@@ -444,7 +456,7 @@ def _cmd_inject(args):
 
 def _scenario_fail(args, message):
     """Unresolvable scenario config: JSON under ``--json``, else stderr."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"ok": False, "error": message}, sort_keys=True))
     else:
         print(f"error: {message}", file=sys.stderr)
@@ -458,7 +470,7 @@ def _cmd_scenario_validate(args):
         config = load_scenario(args.file)
     except ScenarioError as exc:
         return _scenario_fail(args, str(exc))
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"ok": True, "scenario": config.name,
                           "family": config.family,
                           "model": config.model.name,
@@ -478,53 +490,27 @@ def _run_scenario_command(args, source, model_override=None):
     quarantine), 130 interrupted — with ``--journal`` the same command
     resumes each point exactly where it stopped.
     """
-    from .campaign import CampaignInterrupted
     from .scenario import ScenarioError, compile_scenario, load_scenario, run_scenario
 
     try:
         config = load_scenario(source)
         if model_override is not None:
             config.model.name = model_override
-        if getattr(args, "no_lane_packing", False):
+        if args.no_lane_packing:
             config.campaign.lane_packing = False
         compiled = compile_scenario(config)
     except ScenarioError as exc:
         return _scenario_fail(args, str(exc))
-    bus, server, sampler = _telemetry_start(args, compiled.campaign)
-    try:
-        result = run_scenario(
+    result, bus, server = _run_under_telemetry(
+        args, compiled.campaign,
+        lambda bus: run_scenario(
             compiled, workers=args.workers, journal=args.journal,
-            observe=getattr(args, "observe", None),
-            progress=bool(getattr(args, "stream", None)) or not args.json,
-            out_dir=args.out_dir, telemetry=bus)
-    except CampaignInterrupted as exc:
-        partial = exc.partial
-        _telemetry_stop(server, sampler)
-        if args.json:
-            print(json.dumps({"ok": False, "interrupted": True,
-                              "telemetry": _telemetry_block(bus, server),
-                              **partial}, sort_keys=True))
-        else:
-            print(f"interrupted: {partial['completed_injections']}"
-                  f"/{partial['n_injections']} injections of the current "
-                  f"point completed", file=sys.stderr)
-            if partial.get("journal"):
-                print("resume by re-running the same scenario command with "
-                      "the same --journal", file=sys.stderr)
-            if bus.recorder.last_dump is not None:
-                print(f"flight dump: {bus.recorder.last_dump}", file=sys.stderr)
+            observe=args.observe, progress=bool(args.stream) or not args.json,
+            out_dir=args.out_dir, telemetry=bus),
+        " of the current point",
+        "resume by re-running the same scenario command with the same --journal")
+    if result is None:
         return 130
-    except KeyboardInterrupt:
-        _telemetry_stop(server, sampler)
-        if args.json:
-            print(json.dumps({"ok": False, "interrupted": True,
-                              "telemetry": _telemetry_block(bus, server)},
-                             sort_keys=True))
-        else:
-            print("interrupted", file=sys.stderr)
-        return 130
-    finally:
-        _telemetry_stop(server, sampler)
     if args.json:
         print(json.dumps({"ok": True,
                           "telemetry": _telemetry_block(bus, server),
@@ -600,6 +586,39 @@ def _cmd_report(args):
     return 0
 
 
+# Options several subcommands declare, by flag: the keywords every
+# declaration shares.  ``_option`` adds one, with per-command overrides.
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=0),
+    "--json": dict(action="store_true",
+                   help="emit one machine-readable JSON object on stdout"),
+    "--batch-size": dict(type=int, default=16,
+                         help="injections per forward in campaign mode"),
+    "--workers": dict(type=int, default=1, metavar="K",
+                      help="shard the campaign across K forked worker processes "
+                           "(results are bitwise-identical to --workers 1)"),
+    "--journal": dict(default=None, metavar="PATH",
+                      help="crash-consistent campaign journal: completed "
+                           "chunks are fsync'd to PATH, and re-running the "
+                           "same command resumes exactly where an "
+                           "interrupted (even kill -9'd) run stopped"),
+    "--observe": dict(default=None, metavar="LOG",
+                      help="write per-injection telemetry JSONL"),
+    "--stream": dict(default=None, metavar="SOCK",
+                     help="serve live NDJSON telemetry on SOCK (unix-socket "
+                          "path or host:port; port 0 picks one) while the "
+                          "campaign runs — attach with `repro top SOCK`"),
+    "--no-lane-packing": dict(action="store_true",
+                              help="run one injection per forward (the serial "
+                                   "oracle) instead of packing compatible "
+                                   "sites into batch lanes"),
+}
+
+
+def _option(parser, flag, **overrides):
+    parser.add_argument(flag, **{**_SHARED_OPTIONS[flag], **overrides})
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro", description="PyTorchFI (DSN 2020) reproduction toolkit")
@@ -614,7 +633,7 @@ def build_parser():
     run_parser.add_argument("experiment")
     run_parser.add_argument("--scale", choices=("smoke", "small", "paper"),
                             default="small")
-    run_parser.add_argument("--seed", type=int, default=0)
+    _option(run_parser, "--seed")
     run_parser.set_defaults(fn=_cmd_run)
 
     for name, fn in (("profile", _cmd_profile), ("inject", _cmd_inject)):
@@ -625,35 +644,24 @@ def build_parser():
             p.add_argument("model")
         p.add_argument("--dataset", default="cifar10")
         p.add_argument("--scale", choices=("smoke", "small", "paper"), default="small")
-        p.add_argument("--seed", type=int, default=0)
+        _option(p, "--seed")
         if name == "inject":
             p.add_argument("--layer", type=int, default=None,
                            help="restrict the injection to one instrumentable layer")
-            p.add_argument("--json", action="store_true",
-                           help="emit one machine-readable JSON object on stdout")
+            _option(p, "--json")
             p.add_argument("--campaign", type=int, default=0, metavar="N",
                            help="run an N-injection campaign instead of one shot")
-            p.add_argument("--batch-size", type=int, default=16,
-                           help="injections per forward in campaign mode")
-            p.add_argument("--journal", default=None, metavar="PATH",
-                           help="crash-consistent campaign journal: completed "
-                                "chunks are fsync'd to PATH, and re-running "
-                                "the same command resumes exactly where an "
-                                "interrupted (even kill -9'd) run stopped")
+            _option(p, "--batch-size")
+            _option(p, "--journal")
             p.add_argument("--scenario", default=None, metavar="FILE",
                            help="run a declarative scenario file (see repro "
                                 "scenario) with its model replaced by the "
                                 "positional MODEL argument")
-            p.add_argument("--observe", default=None, metavar="LOG",
-                           help="write per-injection telemetry JSONL "
-                                "(campaign mode)")
+            _option(p, "--observe")
             p.add_argument("--out-dir", default="results",
                            help="directory for scenario sweep artifacts "
                                 "(with --scenario; default: results)")
-            p.add_argument("--no-lane-packing", action="store_true",
-                           help="run one injection per forward (the serial "
-                                "oracle) instead of packing compatible sites "
-                                "into batch lanes")
+            _option(p, "--no-lane-packing")
         else:
             p.add_argument("--model", dest="model_flag", default=None, metavar="NAME",
                            help="runtime-profile this model and write Chrome-trace "
@@ -661,23 +669,18 @@ def build_parser():
             p.add_argument("--campaign", type=int, default=0, metavar="N",
                            help="profile a small N-injection campaign instead of "
                                 "one forward")
-            p.add_argument("--batch-size", type=int, default=None,
-                           help="injections per forward (default: 16 with "
-                                "--campaign, as inject runs them; else 1, "
-                                "Fig 3's batch)")
+            _option(p, "--batch-size", default=None,
+                    help="injections per forward (default: 16 with "
+                         "--campaign, as inject runs them; else 1, "
+                         "Fig 3's batch)")
             p.add_argument("--out-dir", default="results/profile",
                            help="artifact directory (default: results/profile)")
             p.add_argument("--metrics-out", default=None, metavar="PATH",
-                           help="write the metrics registry in Prometheus "
-                                "text exposition format to PATH")
-        p.add_argument("--workers", type=int, default=1, metavar="K",
-                       help="shard the campaign across K forked worker processes "
-                            "(requires --campaign; results are bitwise-identical "
-                            "to --workers 1)")
-        p.add_argument("--stream", default=None, metavar="SOCK",
-                       help="serve live NDJSON telemetry on SOCK (unix-socket "
-                            "path or host:port; port 0 picks one) while the "
-                            "campaign runs — attach with `repro top SOCK`")
+                           help="write the campaign's counters in Prometheus "
+                                "text exposition format to PATH (requires "
+                                "--campaign)")
+        _option(p, "--workers")
+        _option(p, "--stream")
         p.set_defaults(fn=fn)
 
     scenario_parser = sub.add_parser(
@@ -687,37 +690,24 @@ def build_parser():
     validate_parser = scenario_sub.add_parser(
         "validate", help="check a scenario file and print its plan")
     validate_parser.add_argument("file", help="scenario YAML/JSON file")
-    validate_parser.add_argument("--json", action="store_true",
-                                 help="emit one machine-readable JSON object")
+    _option(validate_parser, "--json")
     validate_parser.set_defaults(fn=_cmd_scenario_validate)
     scen_run_parser = scenario_sub.add_parser(
         "run", help="compile and execute a scenario (all sweep points)")
     scen_run_parser.add_argument("file", help="scenario YAML/JSON file")
-    scen_run_parser.add_argument("--workers", type=int, default=1, metavar="K",
-                                 help="shard each sweep point across K forked "
-                                      "workers (bitwise-identical to serial)")
-    scen_run_parser.add_argument("--journal", default=None, metavar="PATH",
-                                 help="crash-consistent journal base path; "
-                                      "multi-point scenarios journal each "
-                                      "point to PATH.<idx>-<label>")
-    scen_run_parser.add_argument("--observe", default=None, metavar="LOG",
-                                 help="write per-injection telemetry JSONL "
-                                      "(per point, like --journal)")
+    _option(scen_run_parser, "--workers")
+    _option(scen_run_parser, "--journal",
+            help="crash-consistent journal base path; multi-point scenarios "
+                 "journal each point to PATH.<idx>-<label>")
+    _option(scen_run_parser, "--observe")
     scen_run_parser.add_argument("--out-dir", default="results",
                                  help="directory for sweep artifacts "
                                       "(default: results)")
-    scen_run_parser.add_argument("--no-lane-packing", action="store_true",
-                                 help="run one injection per forward (the "
-                                      "serial oracle) regardless of the "
-                                      "scenario's campaign.lane_packing")
-    scen_run_parser.add_argument("--json", action="store_true",
-                                 help="emit one machine-readable JSON object; "
-                                      "exit 0 clean / 2 unresolvable / "
-                                      "3 degraded / 130 interrupted")
-    scen_run_parser.add_argument("--stream", default=None, metavar="SOCK",
-                                 help="serve live NDJSON telemetry on SOCK "
-                                      "(unix-socket path or host:port) while "
-                                      "the scenario runs")
+    _option(scen_run_parser, "--no-lane-packing")
+    _option(scen_run_parser, "--json",
+            help="emit one machine-readable JSON object; exit 0 clean / "
+                 "2 unresolvable / 3 degraded / 130 interrupted")
+    _option(scen_run_parser, "--stream")
     scen_run_parser.set_defaults(fn=_cmd_scenario_run)
 
     top_parser = sub.add_parser(

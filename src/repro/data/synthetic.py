@@ -136,6 +136,11 @@ class SelfLabelledDataset:
     what lets untrained zoo models (the CLI and scenario-engine default)
     be campaigned without a training phase.  Wraps any dataset exposing
     ``sample``/``input_shape``.
+
+    ``sample`` runs no forward: it returns ``None`` labels, and
+    :class:`~repro.campaign.InjectionCampaign` labels the pool with the
+    argmax of the clean screening forward it runs anyway.  ``model`` is
+    the model those labels come from.
     """
 
     def __init__(self, model, base):
@@ -146,13 +151,9 @@ class SelfLabelledDataset:
     def input_shape(self):
         return self.base.input_shape
 
-    def sample(self, n, rng=None, labels=None):
-        from ..tensor import Tensor, no_grad
-
+    def sample(self, n, rng=None):
         images, _ = self.base.sample(n, rng=rng)
-        with no_grad():
-            preds = self.model(Tensor(images)).data.argmax(axis=1)
-        return images, preds
+        return images, None
 
 
 def make_dataset(dataset, seed=0, noise=None, class_similarity=None):

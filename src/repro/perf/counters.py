@@ -5,12 +5,29 @@ campaign throughput a first-class, measurable quantity.  A campaign owns
 one :class:`CampaignPerfCounters` instance, accumulates into it across
 ``run()`` calls, and exposes it as ``campaign.perf`` so benchmarks and
 dashboards can track injections/sec, cache behaviour, and how much of the
-network's layer-forward work the resume path actually skipped.
+network's layer-forward work the resume path actually skipped.  It is the
+only store of these numbers: every chunk record's ``perf`` delta folds into
+it wherever the chunk ran, and the CLI's JSON records, the observe footer,
+the profile summary and ``--metrics-out`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# The Prometheus type of every metric ``prometheus_text`` renders: lifetime
+# tallies are counters, derived rates and configuration are gauges.
+_PROMETHEUS_TYPES = {
+    **dict.fromkeys(("injections", "elapsed_seconds", "forwards", "forwards_saved",
+                     "resumed_forwards", "capture_forwards", "layer_forwards_executed",
+                     "layer_forwards_skipped", "cache_hits", "cache_misses",
+                     "cache_evictions", "chunk_retries", "chunks_requeued",
+                     "chunks_quarantined", "worker_failures", "worker_respawns"),
+                    "counter"),
+    **dict.fromkeys(("injections_per_sec", "mean_lane_occupancy", "cache_hit_rate",
+                     "fraction_layer_forwards_skipped", "cache_bytes", "resume_enabled"),
+                    "gauge"),
+}
 
 
 @dataclass
@@ -79,44 +96,27 @@ class CampaignPerfCounters:
         self.resume_enabled = resume_enabled
         return self
 
-    def publish(self, registry, prefix="campaign"):
-        """Publish every counter into a :class:`repro.profile.MetricsRegistry`.
+    def add(self, delta):
+        """Add a ``{counter: amount}`` delta, e.g. one chunk record's ``perf``."""
+        for key, amount in delta.items():
+            setattr(self, key, getattr(self, key) + amount)
+        return self
 
-        Lifetime tallies become monotonic counters (``set_floor`` keeps a
-        republish after each ``run()`` idempotent); derived rates and
-        configuration become gauges.  Returns the registry for chaining.
+    def prometheus_text(self):
+        """Render the counters in the Prometheus text exposition format.
+
+        Each counter becomes a ``campaign_<name>`` sample — lifetime
+        tallies typed ``counter``, derived rates and configuration
+        ``gauge`` — with one ``# TYPE`` line each, sorted by name: what
+        ``repro profile --metrics-out`` writes.
         """
-        tallies = {
-            "injections": self.injections,
-            "elapsed_seconds": self.elapsed_seconds,
-            "forwards": self.forwards,
-            "forwards_saved": self.forwards_saved,
-            "resumed_forwards": self.resumed_forwards,
-            "capture_forwards": self.capture_forwards,
-            "layer_forwards_executed": self.layer_forwards_executed,
-            "layer_forwards_skipped": self.layer_forwards_skipped,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "chunk_retries": self.chunk_retries,
-            "chunks_requeued": self.chunks_requeued,
-            "chunks_quarantined": self.chunks_quarantined,
-            "worker_failures": self.worker_failures,
-            "worker_respawns": self.worker_respawns,
-        }
-        for name, value in tallies.items():
-            registry.counter(f"{prefix}.{name}").set_floor(value)
-        gauges = {
-            "injections_per_sec": self.injections_per_sec,
-            "mean_lane_occupancy": self.mean_lane_occupancy,
-            "cache_hit_rate": self.cache_hit_rate,
-            "fraction_layer_forwards_skipped": self.fraction_layer_forwards_skipped,
-            "cache_bytes": self.cache_bytes,
-            "resume_enabled": int(self.resume_enabled),
-        }
-        for name, value in gauges.items():
-            registry.gauge(f"{prefix}.{name}").set(value)
-        return registry
+        lines = []
+        for name, kind in sorted(_PROMETHEUS_TYPES.items()):
+            value = float(getattr(self, name))
+            text = (str(int(value)) if value == int(value) and abs(value) < 1e15
+                    else repr(value))
+            lines += [f"# TYPE campaign_{name} {kind}", f"campaign_{name} {text}"]
+        return "\n".join(lines) + "\n"
 
     def as_dict(self):
         """A flat JSON-serialisable snapshot (for benchmark records)."""

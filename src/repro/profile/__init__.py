@@ -1,4 +1,4 @@
-"""Span-based runtime profiling (per-layer timing, memory, metrics, traces).
+"""Span-based runtime profiling (per-layer timing, memory, traces).
 
 The observability counterpart to :mod:`repro.observe`: where the observer
 answers *what the fault did*, the profiler answers *where the time and
@@ -40,28 +40,14 @@ from .export import (
 )
 from .heartbeat import CampaignHeartbeat, ProgressMeter, coerce_progress
 from .instrument import instrument, profile_forward, profile_model
-from .metrics import (
-    DEFAULT_BUCKETS,
-    SNAPSHOT_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .profiler import NULL_PROFILER, NullProfiler, Profiler, Span, coerce_profiler
 
 __all__ = [
     "CampaignHeartbeat",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",
     "ProgressMeter",
-    "SNAPSHOT_SCHEMA_VERSION",
     "SUMMARY_SCHEMA_VERSION",
     "Span",
     "chrome_trace_events",

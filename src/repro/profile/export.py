@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-SUMMARY_SCHEMA_VERSION = 1
+# A campaign profile's counters are ``meta["perf"]``; there is no
+# ``metrics`` key (schema 1 had one).
+SUMMARY_SCHEMA_VERSION = 2
 
 
 def span_records(profiler):
@@ -142,7 +144,11 @@ def _aggregate_rows(profiler):
 
 
 def summary(profiler, meta=None):
-    """A JSON-serialisable run summary: rows + totals + metrics snapshot."""
+    """A JSON-serialisable run summary: span rows + totals (+ ``meta``).
+
+    A campaign profile's ``meta`` carries ``campaign.perf.as_dict()``, the
+    campaign's counters.
+    """
     rows = _aggregate_rows(profiler)
     out = {
         "schema": SUMMARY_SCHEMA_VERSION,
@@ -150,7 +156,6 @@ def summary(profiler, meta=None):
         "overhead_s": profiler.overhead_s,
         "num_spans": len(profiler.spans),
         "spans": rows,
-        "metrics": profiler.metrics.snapshot(),
     }
     if meta:
         out["meta"] = dict(meta)
@@ -199,7 +204,7 @@ def write_artifacts(profiler, out_dir, stem="profile", meta=None):
     """Write the three artifacts under ``out_dir``; returns their paths.
 
     ``<stem>_trace.json`` (Chrome trace events), ``<stem>_summary.json``
-    (machine summary incl. metrics snapshot), ``<stem>_summary.txt``
+    (machine summary), ``<stem>_summary.txt``
     (hierarchical table).
     """
     out_dir = Path(out_dir)

@@ -27,7 +27,6 @@ import functools
 import time
 
 from ..tensor.tensor import set_alloc_hook as _set_alloc_hook
-from .metrics import MetricsRegistry
 
 
 class Span:
@@ -152,7 +151,7 @@ class _SpanContext:
 
 
 class Profiler:
-    """Collects a span tree plus a metrics registry for one profiled run.
+    """Collects a span tree for one profiled run.
 
     Parameters
     ----------
@@ -174,7 +173,6 @@ class Profiler:
         self.spans = []  # every span, in start order
         self.foreign_spans = []  # worker span records, see consume()
         self.overhead_s = 0.0
-        self.metrics = MetricsRegistry()
         self._stack = []
 
     def span(self, name, cat="", **args):
@@ -201,29 +199,22 @@ class Profiler:
         A worker's ``profile/spans`` row (:func:`~repro.profile.export.span_records`
         with absolute ``perf_counter`` times, a timeline forked workers
         share) joins :attr:`foreign_spans` as that worker's pid lane.
-        Every executed ``campaign/chunk`` envelope, inline or worker, is
-        observed into ``campaign.chunk_seconds``.
         """
-        source, kind, data = envelope["source"], envelope["kind"], envelope["data"]
-        if source == "profile" and kind == "spans":
+        if (envelope["source"], envelope["kind"]) == ("profile", "spans"):
+            data = envelope["data"]
             name = f"repro.worker[{envelope['worker']}]"
             self.foreign_spans.extend(
                 dict(record, pid=int(data["pid"]), process_name=name)
                 for record in data["spans"])
-        elif source == "campaign" and kind == "chunk" and data["elapsed_s"] is not None:
-            self.metrics.histogram(
-                "campaign.chunk_seconds", help="wall clock per injection chunk"
-            ).observe(data["elapsed_s"])
 
     def reset(self):
-        """Drop all recorded spans and metrics (the clock choice stays)."""
+        """Drop all recorded spans (the clock choice stays)."""
         if self._stack:
             raise RuntimeError("cannot reset a profiler with open spans")
         self.roots = []
         self.spans = []
         self.foreign_spans = []
         self.overhead_s = 0.0
-        self.metrics = MetricsRegistry()
         return self
 
     def __repr__(self):
@@ -287,7 +278,6 @@ class NullProfiler:
         self.roots = ()
         self.spans = ()
         self.foreign_spans = ()
-        self.metrics = MetricsRegistry()
 
     def span(self, name, cat="", **args):
         return _NULL_CONTEXT

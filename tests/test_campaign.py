@@ -17,7 +17,9 @@ from repro.campaign import (
     required_trials,
     wilson_interval,
 )
+from repro import nn
 from repro.core import SingleBitFlip, StuckAt
+from repro.data import SelfLabelledDataset
 
 
 class TestStats:
@@ -199,3 +201,37 @@ class TestCampaign:
                 assert vulnerability is not None
             else:
                 assert vulnerability is None
+
+
+class _BatchProbe(nn.Module):
+    """Copying layer recording the batch size of every forward through it.
+
+    The list is class-level so it also sees the forwards of the clone a
+    campaign makes of its model.
+    """
+
+    batches = []
+
+    def forward(self, x):
+        type(self).batches.append(int(x.shape[0]))
+        return x + 0.0  # a fresh tensor keeps the probe in the traced chain
+
+
+class TestPoolBuild:
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_one_clean_forward_per_pool_chunk(self, tiny_dataset, resume):
+        """A self-labelled pool is labelled by the screening forward itself:
+        one clean forward per 64-input chunk, no separate labelling pass."""
+        gen = np.random.default_rng(0)
+        model = nn.Sequential(_BatchProbe(), nn.Conv2d(3, 4, 3, padding=1, rng=gen),
+                              nn.ReLU(), nn.GlobalAvgPool2d(), nn.Flatten(),
+                              nn.Linear(4, 4, rng=gen))
+        model.eval()
+        _BatchProbe.batches = []
+        campaign = InjectionCampaign(model, SelfLabelledDataset(model, tiny_dataset),
+                                     batch_size=4, pool_size=128, rng=0, resume=resume)
+        # Forwards of 64+ rows are pool work; layer profiling runs smaller.
+        assert [b for b in _BatchProbe.batches if b >= 64] == [64, 64]
+        assert campaign.clean_accuracy == 1.0
+        np.testing.assert_array_equal(campaign.pool_labels,
+                                      campaign.pool_logits.argmax(axis=1))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.profile import SUMMARY_SCHEMA_VERSION
 
 
 class TestParser:
@@ -193,7 +194,9 @@ class TestProfileRuntimeCommand:
         assert summary["meta"]["mode"] == "campaign"
         paths = {r["path"] for r in summary["spans"]}
         assert any("campaign.chunk" in p for p in paths)
-        assert "campaign.injections" in summary["metrics"]["counters"]
+        assert summary["schema"] == SUMMARY_SCHEMA_VERSION == 2
+        assert "metrics" not in summary
+        assert summary["meta"]["perf"]["injections"] == 4
 
     def test_campaign_profile_defaults_to_the_inject_batch(self, tmp_path, capsys):
         """Without --batch-size a campaign profile packs lanes like inject."""
@@ -352,6 +355,8 @@ class TestScenarioCommands:
         assert "exclusive" in payload["error"]
 
     def test_run_accumulated_writes_artifact(self, tmp_path, capsys):
+        """The accumulated sweep end to end through the CLI: validate, run
+        it on two workers, and check the SDC-curve artifact's schema."""
         config = {
             "name": "cli-sweep",
             "family": "accumulated",
@@ -360,15 +365,25 @@ class TestScenarioCommands:
                       "scale": "smoke"},
             "campaign": {"batch_size": 8, "pool_size": 32},
             "fault": {"quantize": True},
-            "accumulated": {"counts": [0, 2], "evaluations": 8},
+            "accumulated": {"counts": [0, 2, 4], "stuck": 1, "evaluations": 8},
         }
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(config))
+        assert main(["scenario", "validate", str(path)]) == 0
+        capsys.readouterr()
         out_dir = tmp_path / "results"
-        assert main(["scenario", "run", str(path), "--out-dir", str(out_dir),
-                     "--json"]) == 0
+        assert main(["scenario", "run", str(path), "--workers", "2",
+                     "--out-dir", str(out_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert payload["family"] == "accumulated"
         artifact = json.loads(
             (out_dir / "scenario_cli-sweep.json").read_text())
         assert artifact["schema"] == "repro.scenario.sweep/1"
         assert payload["artifact"].endswith("scenario_cli-sweep.json")
+        assert [row["k"] for row in artifact["points"]] == [0, 2, 4]
+        for row in artifact["points"]:
+            assert {"k", "injections", "corruptions", "sdc_rate", "ci_low",
+                    "ci_high", "resident_faults",
+                    "resident_fingerprint"} <= set(row)
+            assert row["resident_faults"] == row["k"]

@@ -11,7 +11,6 @@ from repro.perf import (
     sweep_batch_sizes,
     time_inference,
 )
-from repro.profile import MetricsRegistry
 
 
 class TestTimeInference:
@@ -115,20 +114,29 @@ class TestCampaignPerfCounters:
     def test_str_mentions_throughput(self):
         assert "injections" in str(self._filled())
 
-    def test_publish_fills_a_metrics_registry(self):
+    def test_add_folds_a_chunk_delta(self):
         perf = self._filled()
-        registry = perf.publish(MetricsRegistry())
-        assert registry["campaign.injections"].value == 100
-        assert registry["campaign.cache_hits"].value == 60
-        assert registry["campaign.injections_per_sec"].value == pytest.approx(25.0)
-        assert registry["campaign.resume_enabled"].value == 1
+        assert perf.add({"forwards": 1, "cache_hits": 4, "cache_bytes": -24}) is perf
+        assert (perf.forwards, perf.cache_hits, perf.cache_bytes) == (26, 64, 1000)
 
-    def test_publish_is_idempotent_and_monotonic(self):
+    def test_prometheus_text_renders_counters_and_gauges(self):
+        """What ``repro profile --metrics-out`` writes: tallies as counters,
+        rates and configuration as gauges, sorted, numbers equal to
+        ``as_dict()``."""
         perf = self._filled()
-        registry = MetricsRegistry()
-        perf.publish(registry)
-        perf.publish(registry)  # republish: set_floor keeps counters stable
-        assert registry["campaign.injections"].value == 100
-        perf.injections = 150
-        perf.publish(registry)
-        assert registry["campaign.injections"].value == 150
+        text = perf.prometheus_text()
+        lines = text.splitlines()
+        types = dict(line.split()[2:] for line in lines if line.startswith("# TYPE"))
+        samples = dict(line.split() for line in lines if not line.startswith("#"))
+        assert text.endswith("\n") and not any(line.startswith("# HELP") for line in lines)
+        assert types["campaign_injections"] == "counter"
+        assert types["campaign_cache_hits"] == "counter"
+        assert types["campaign_injections_per_sec"] == "gauge"
+        assert types["campaign_cache_bytes"] == "gauge"
+        assert list(samples) == sorted(samples)
+        assert samples["campaign_injections"] == "100"
+        assert samples["campaign_injections_per_sec"] == "25"
+        assert samples["campaign_cache_hit_rate"] == "0.6"
+        assert samples["campaign_resume_enabled"] == "1"
+        expected = {f"campaign_{k}": float(v) for k, v in perf.as_dict().items()}
+        assert {k: float(v) for k, v in samples.items()} == expected

@@ -1,4 +1,4 @@
-"""Tests for repro.profile: span tracer, metrics, instrumentation, exports."""
+"""Tests for repro.profile: span tracer, instrumentation, exports."""
 
 import io
 import json
@@ -11,10 +11,6 @@ from repro import tensor as T
 from repro.campaign import InjectionCampaign
 from repro.profile import (
     CampaignHeartbeat,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     NULL_PROFILER,
     NullProfiler,
     Profiler,
@@ -160,11 +156,9 @@ class TestSpanTracer:
         prof = Profiler(clock=clock, track_allocations=False)
         with prof.span("x"):
             pass
-        prof.metrics.counter("c").inc()
         prof.reset()
         assert prof.roots == [] and prof.spans == []
         assert prof.overhead_s == 0.0
-        assert len(prof.metrics) == 0
         assert prof.clock is clock
 
     def test_reset_refuses_while_a_span_is_open(self):
@@ -203,81 +197,6 @@ class TestNullProfiler:
         assert coerce_profiler(null) is null
         with pytest.raises(TypeError, match="profiler"):
             coerce_profiler("yes")
-
-
-class TestMetrics:
-    def test_counter_monotonic(self):
-        c = Counter("n")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError, match="decrease"):
-            c.inc(-1)
-
-    def test_counter_set_floor_is_idempotent(self):
-        c = Counter("n")
-        c.set_floor(10)
-        c.set_floor(10)
-        assert c.value == 10
-        c.set_floor(3)  # lower publish never decreases
-        assert c.value == 10
-        c.set_floor(12)
-        assert c.value == 12
-
-    def test_gauge_moves_both_ways(self):
-        g = Gauge("g")
-        g.set(5.0)
-        g.inc(2)
-        g.dec(3)
-        assert g.value == pytest.approx(4.0)
-
-    def test_histogram_buckets_and_stats(self):
-        h = Histogram("h", buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            h.observe(value)
-        assert h.counts == [1, 1, 1]  # <=1, <=10, +Inf
-        assert h.count == 3
-        assert h.sum == pytest.approx(55.5)
-        assert h.min == pytest.approx(0.5)
-        assert h.max == pytest.approx(50.0)
-        assert h.mean == pytest.approx(55.5 / 3)
-
-    def test_histogram_empty_mean_is_zero(self):
-        assert Histogram("h").mean == 0.0
-
-    def test_histogram_needs_buckets(self):
-        with pytest.raises(ValueError, match="bucket"):
-            Histogram("h", buckets=())
-
-    def test_registry_get_or_create_reuses(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert "a" in reg and len(reg) == 1
-        assert reg["a"].value == 0
-
-    def test_registry_type_conflict(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("a")
-
-    def test_snapshot_json_roundtrip_is_exact(self):
-        reg = MetricsRegistry()
-        reg.counter("jobs", help="jobs done").inc(3)
-        reg.gauge("temp").set(1.5)
-        hist = reg.histogram("lat", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(2.0)
-        snap = reg.snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-        assert snap["counters"]["jobs"]["value"] == 3
-        assert snap["histograms"]["lat"]["counts"] == [1, 0, 1]
-
-    def test_names_sorted(self):
-        reg = MetricsRegistry()
-        reg.gauge("z")
-        reg.counter("a")
-        assert reg.names() == ["a", "z"]
 
 
 class TestInstrument:
@@ -398,7 +317,7 @@ class TestCampaignProfiling:
         assert prof_campaign.perf.cache_hits == plain_campaign.perf.cache_hits
         assert prof_campaign.perf.cache_misses == plain_campaign.perf.cache_misses
 
-    def test_campaign_records_phase_spans_and_metrics(self, trained_tiny_model):
+    def test_campaign_records_phase_spans(self, trained_tiny_model):
         model, dataset, _ = trained_tiny_model
         prof = Profiler()
         campaign = InjectionCampaign(model, dataset, batch_size=4, pool_size=32,
@@ -406,9 +325,6 @@ class TestCampaignProfiling:
         campaign.run(8)
         names = {s.name for s in prof.spans}
         assert {"campaign.pool", "campaign.plan", "campaign.chunk"} <= names
-        assert "campaign.injections" in prof.metrics
-        assert prof.metrics["campaign.injections"].value == 8
-        assert prof.metrics["campaign.chunk_seconds"].count >= 1
         chunk_spans = [s for s in prof.spans if s.name == "campaign.chunk"]
         assert all("cache_hits" in s.args for s in chunk_spans)
 

@@ -320,21 +320,6 @@ class TestParallelChaos:
         _, _, complete = load_journal(tmp_path / "j.jsonl")
         assert complete
 
-    def test_recovery_counters_reach_the_metrics_registry(self,
-                                                          trained_tiny_model,
-                                                          tmp_path):
-        from repro.profile import Profiler
-
-        model, dataset, _ = trained_tiny_model
-        campaign = _campaign(model, dataset, profiler=Profiler())
-        _kill_once_in_worker(campaign, tmp_path, os.getpid())
-        with pytest.warns(RuntimeWarning, match="died"):
-            campaign.run(48, workers=2)
-        counters = campaign.profiler.metrics.snapshot()["counters"]
-        assert counters["campaign.worker_failures"]["value"] == 1
-        assert (counters["campaign.chunk_retries"]["value"]
-                + counters["campaign.chunks_requeued"]["value"]) >= 1
-
     def test_hung_worker_is_caught_by_the_watchdog(self, trained_tiny_model,
                                                    tmp_path):
         model, dataset, _ = trained_tiny_model

@@ -25,7 +25,7 @@ from repro.core import (
     random_neuron_locations,
     random_weight_locations,
 )
-from repro.data import SyntheticClassification
+from repro.data import SelfLabelledDataset, SyntheticClassification
 from repro.nn import functional as F
 from repro.perf import CampaignPerfCounters
 from repro.tensor import Tensor, no_grad
@@ -33,30 +33,6 @@ from repro.tensor import Tensor, no_grad
 from .test_nn_functional import naive_conv2d
 
 REGISTRY = sorted(models.BUILDERS)
-
-
-class SelfLabelled:
-    """Dataset whose labels are the model's own clean predictions.
-
-    Untrained registry models classify nothing "correctly" against real
-    labels, which would empty a campaign's input pool; labelling inputs
-    with the model's own argmax makes pool accuracy 100% by construction
-    so the execution machinery can be exercised without training.
-    """
-
-    def __init__(self, model, base):
-        self.model = model
-        self.base = base
-
-    @property
-    def input_shape(self):
-        return self.base.input_shape
-
-    def sample(self, n, rng=None, labels=None):
-        images, _ = self.base.sample(n, rng=rng)
-        with no_grad():
-            preds = self.model(Tensor(images)).data.argmax(axis=1)
-        return images, preds
 
 
 class NonChainNet(nn.Module):
@@ -208,7 +184,7 @@ class TestRegistryResumeEquivalence:
     def test_campaign_counts_identical_resume_on_vs_off(self, name):
         net = models.get_model(name, "cifar10", scale="smoke", rng=0)
         net.eval()
-        dataset = SelfLabelled(net, SyntheticClassification(num_classes=10, image_size=32, seed=5))
+        dataset = SelfLabelledDataset(net, SyntheticClassification(num_classes=10, image_size=32, seed=5))
         results = {}
         for resume in (True, False):
             campaign = InjectionCampaign(
@@ -275,7 +251,7 @@ class TestCampaignResumePaths:
         """Branchy forwards still resume: prefix layers stubbed on a full re-run."""
         model = NonChainNet()
         model.eval()
-        dataset = SelfLabelled(model, tiny_dataset)
+        dataset = SelfLabelledDataset(model, tiny_dataset)
         results = {}
         for resume in (True, False):
             campaign = InjectionCampaign(model, dataset, batch_size=4, pool_size=16,

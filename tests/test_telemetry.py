@@ -32,7 +32,6 @@ import pytest
 from repro.campaign import InjectionCampaign
 from repro.cli import main
 from repro.core import SingleBitFlip, StuckAt
-from repro.profile import MetricsRegistry
 from repro.profile.heartbeat import CampaignHeartbeat, ProgressMeter
 from repro.telemetry import (
     ENVELOPE_SCHEMA,
@@ -209,64 +208,6 @@ class TestFlightRecorder:
 
     def test_dump_without_recorder_is_none(self):
         assert TelemetryBus().dump_flight("interrupt") is None
-
-
-# ---------------------------------------------------------------------- #
-# Prometheus text exposition (satellite)
-# ---------------------------------------------------------------------- #
-
-class TestPrometheusText:
-    def test_counters_and_gauges(self):
-        reg = MetricsRegistry()
-        reg.counter("campaign.injections", help="total injections").inc(42)
-        reg.gauge("campaign.cache_bytes", help="resume cache size").set(1.5)
-        text = reg.to_prometheus_text()
-        assert "# HELP campaign_injections total injections\n" in text
-        assert "# TYPE campaign_injections counter\n" in text
-        assert "\ncampaign_injections 42\n" in text
-        assert "# TYPE campaign_cache_bytes gauge\n" in text
-        assert "campaign_cache_bytes 1.5\n" in text
-        assert text.endswith("\n")
-
-    def test_histogram_buckets_are_cumulative_with_inf(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("chunk.seconds", buckets=(0.1, 1.0))
-        for v in (0.05, 0.05, 0.5, 2.0):
-            hist.observe(v)
-        text = reg.to_prometheus_text()
-        assert '# TYPE chunk_seconds histogram' in text
-        assert 'chunk_seconds_bucket{le="0.1"} 2' in text
-        assert 'chunk_seconds_bucket{le="1"} 3' in text
-        assert 'chunk_seconds_bucket{le="+Inf"} 4' in text
-        assert "chunk_seconds_count 4" in text
-        assert "chunk_seconds_sum 2.6" in text
-
-    def test_round_trips_against_snapshot(self):
-        """The exposition's numbers are exactly the snapshot's numbers."""
-        reg = MetricsRegistry()
-        reg.counter("a.count").inc(7)
-        reg.gauge("b.gauge").set(-2.25)
-        hist = reg.histogram("c.hist", buckets=(1.0, 5.0))
-        for v in (0.5, 3.0, 9.0):
-            hist.observe(v)
-        snap = reg.snapshot()
-        samples = {}
-        for line in reg.to_prometheus_text().splitlines():
-            if line.startswith("#") or not line:
-                continue
-            name, value = line.rsplit(" ", 1)
-            samples[name] = float(value)
-        assert samples["a_count"] == snap["counters"]["a.count"]["value"]
-        assert samples["b_gauge"] == snap["gauges"]["b.gauge"]["value"]
-        h = snap["histograms"]["c.hist"]
-        assert samples["c_hist_count"] == h["count"]
-        assert samples["c_hist_sum"] == h["sum"]
-        assert samples['c_hist_bucket{le="1"}'] == h["counts"][0]
-        assert samples['c_hist_bucket{le="5"}'] == h["counts"][0] + h["counts"][1]
-        assert samples['c_hist_bucket{le="+Inf"}'] == h["count"]
-
-    def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().to_prometheus_text() == ""
 
 
 # ---------------------------------------------------------------------- #
@@ -923,12 +864,19 @@ class TestCli:
         text = metrics.read_text()
         assert "# TYPE campaign_injections counter" in text
         assert "campaign_injections 16" in text
-        assert 'campaign_chunk_seconds_bucket{le="+Inf"}' in text
-        # Rendered counts agree with the registry snapshot round-trip.
-        count_line = [l for l in text.splitlines()
-                      if l.startswith("campaign_chunk_seconds_count ")]
-        assert count_line, text
+        # The summary JSON carries the same counters the text renders.
+        summary = json.loads((tmp_path / "alexnet_summary.json").read_text())
+        assert "campaign_forwards " + str(summary["meta"]["perf"]["forwards"]) in text
+        assert "chunk_seconds" not in text
 
     def test_profile_metrics_out_needs_runtime_profile(self, capsys):
         assert main(["profile", "alexnet", "--metrics-out", "m.prom"]) == 2
         assert "runtime profile" in capsys.readouterr().err
+
+    def test_profile_metrics_out_requires_campaign(self, tmp_path, capsys):
+        """A forward profile has no counters to render, like --stream."""
+        assert main(["profile", "--model", "alexnet", "--scale", "smoke",
+                     "--out-dir", str(tmp_path),
+                     "--metrics-out", str(tmp_path / "m.prom")]) == 2
+        assert "--metrics-out requires --campaign" in capsys.readouterr().err
+        assert not (tmp_path / "m.prom").exists()
