@@ -704,6 +704,10 @@ class InjectionCampaign:
                             record, elapsed_s = self._run_chunk(run, cid)
                             run.fold(cid, record, "inline", elapsed_s)
             except KeyboardInterrupt:
+                # The folded chunks' forwards are already in perf; their
+                # injections and the wall time belong beside them.
+                self.perf.injections += run.completed_injections
+                self.perf.elapsed_seconds += time.perf_counter() - started
                 if journal_log is not None:
                     journal_log.close()
                 if tracer is not None and hasattr(tracer.sink, "flush"):

@@ -5,6 +5,13 @@ The convolution is implemented with an im2col transform over
 scatter (backward); grouped convolution supports the depthwise nets in the
 zoo (MobileNet, ShuffleNet).  All kernels are pure numpy — this is the
 "silicon" of the reproduction, replacing PyTorch's ATen (see DESIGN.md §2).
+
+The im2col columns are K-major, ``(N, G, Cg*KH*KW, OH*OW)``.  Windows
+overlap, so the columns are a real copy; in this order the copy's inner
+run is a whole output row (OW elements) instead of a kernel row (KW, often
+3), and the GEMM ``w_mat @ cols`` needs no transposed operand.  Its
+``(N, G, OCg, OH*OW)`` result is NCHW as a view (DESIGN.md §7), and each
+batch row is its own GEMM, so rows do not depend on the batch around them.
 """
 
 from __future__ import annotations
@@ -85,17 +92,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
 
     padded = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
     cols = _windows(padded, (kh, kw), (sh, sw))  # (N, C, OH, OW, KH, KW)
-    # (N, G, OH, OW, Cg*KH*KW)
+    # K-major columns (N, G, Cg*KH*KW, OH*OW): the copy's inner run is a
+    # whole output row (OW), not the KW-wide kernel row.
     cols_g = cols.reshape(n, groups, c_per_group, oh, ow, kh, kw)
-    cols_t = cols_g.transpose(0, 1, 3, 4, 2, 5, 6)
-    if not cols_t.flags["C_CONTIGUOUS"]:
-        cols_t = np.ascontiguousarray(cols_t)
-    cols_mat = cols_t.reshape(n, groups, oh * ow, c_per_group * kh * kw)
+    cols_mat = np.ascontiguousarray(cols_g.transpose(0, 1, 2, 5, 6, 3, 4))
+    cols_mat = cols_mat.reshape(n, groups, c_per_group * kh * kw, oh * ow)
     # (N, G, OCg, OH*OW).  This orientation reshapes to NCHW as a contiguous
     # view, so conv outputs always share one memory layout — checkpoint
     # replays that substitute cached (contiguous) outputs stay bitwise
     # identical through layout-sensitive downstream reductions.
-    out = np.matmul(w_mat, cols_mat.transpose(0, 1, 3, 2))
+    out = np.matmul(w_mat, cols_mat)
     out = out.reshape(n, oc, oh, ow)
     if bias_vec is not None:
         out = out + bias_vec.reshape(1, oc, 1, 1)
@@ -109,13 +115,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
         grad_w = grad_x = grad_b = None
         if weight.requires_grad:
             # sum over batch: (G, OCg, Cg*KH*KW)
-            grad_w = np.einsum("ngop,ngpk->gok", g_mat, cols_mat, optimize=True)
+            grad_w = np.einsum("ngop,ngkp->gok", g_mat, cols_mat, optimize=True)
             grad_w = grad_w.reshape(oc, c_per_group, kh, kw)
             grad_w = _as_dtype(grad_w, weight.dtype)
         if x.requires_grad:
-            # (N, G, OH*OW, Cg*KH*KW)
-            grad_cols = np.matmul(g_mat.transpose(0, 1, 3, 2), w_mat)
-            grad_cols = grad_cols.reshape(n, groups, oh, ow, c_per_group, kh, kw)
+            # K-major like the forward's columns: (N, G, Cg*KH*KW, OH*OW)
+            grad_cols = np.matmul(w_mat.transpose(0, 2, 1), g_mat)
+            grad_cols = grad_cols.reshape(n, groups, c_per_group, kh, kw, oh, ow)
             gx_padded = np.zeros(padded.shape, dtype=padded.dtype)
             hp, wp = gx_padded.shape[2:]
             # Accumulate through strided views on both sides instead of
@@ -126,8 +132,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
             for i in range(kh):
                 for j in range(kw):
                     gxg[:, :, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += (
-                        grad_cols[:, :, :, :, :, i, j].transpose(0, 1, 4, 2, 3)
-                    )
+                        grad_cols[:, :, :, i, j])
             grad_x = gx_padded[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else gx_padded
             grad_x = _as_dtype(grad_x, x.dtype)
         if bias is not None and bias.requires_grad:
@@ -149,9 +154,10 @@ def _as_dtype(array, dtype):
 def _conv2d_pointwise(x, weight, bias, w_mat, bias_vec, stride, groups, out_hw):
     """1x1-kernel conv2d: subsample spatially, then one batched matmul.
 
-    The im2col path materialises an (N, G, OH*OW, Cg) copy just to multiply
-    it; for pointwise kernels the input (strided if needed) already *is*
-    that matrix.
+    For a 1x1 kernel the K-major im2col columns ``(N, G, Cg, OH*OW)`` are
+    the input itself (strided if needed), so no window copy is made.
+    Routing these shapes through the im2col path gives bitwise-identical
+    outputs but is slower.
     """
     sh, sw = stride
     oh, ow = out_hw

@@ -34,7 +34,71 @@ def naive_conv2d(x, w, b, stride, padding, groups=1):
     return out.astype(np.float32)
 
 
+#: ``(cin, cout, kernel, stride, padding, groups, hw)`` for each conv2d path:
+#: generic im2col, padded, stride 2, AlexNet's 5x5 pad 2, grouped,
+#: depthwise, and the pointwise kernel with and without stride.
+CONV_PATHS = {
+    "generic": (4, 8, 3, 1, 0, 1, 9),
+    "padded": (4, 8, 3, 1, 1, 1, 8),
+    "stride2": (8, 16, 3, 2, 1, 1, 8),
+    "5x5-pad2": (3, 8, 5, 1, 2, 1, 8),
+    "grouped": (8, 12, 3, 1, 1, 2, 6),
+    "depthwise": (8, 8, 3, 1, 1, 8, 6),
+    "1x1": (8, 16, 1, 1, 0, 1, 6),
+    "1x1-stride2": (8, 16, 1, 2, 0, 1, 6),
+}
+
+
+def _conv_operands(rng, cin, cout, kernel, groups, hw, n):
+    """Input and weight (scaled by fan-in, as in the models) for one path."""
+    fan_in = cin // groups * kernel * kernel
+    x = rng.standard_normal((n, cin, hw, hw)).astype(np.float32)
+    w = (rng.standard_normal((cout, cin // groups, kernel, kernel))
+         / np.sqrt(fan_in)).astype(np.float32)
+    b = rng.standard_normal(cout).astype(np.float32)
+    return x, w, b
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("path", sorted(CONV_PATHS))
+    def test_rows_are_batch_invariant(self, rng, path):
+        # Resume and lane packing re-run single rows and splice them into
+        # batch results: a row must come out bitwise as the batch gave it.
+        cin, cout, k, s, p, groups, hw = CONV_PATHS[path]
+        x, w, b = _conv_operands(rng, cin, cout, k, groups, hw, n=16)
+        batch = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p,
+                         groups=groups).data
+        for row in range(len(x)):
+            alone = F.conv2d(Tensor(x[row : row + 1]), Tensor(w), Tensor(b),
+                             stride=s, padding=p, groups=groups).data
+            np.testing.assert_array_equal(batch[row], alone[0])
+
+    @pytest.mark.parametrize("path", sorted(CONV_PATHS))
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_output_is_c_contiguous(self, rng, path, bias):
+        # DESIGN.md §7: every conv output shares one NCHW layout, so cached
+        # outputs substituted on replay reduce identically downstream.
+        cin, cout, k, s, p, groups, hw = CONV_PATHS[path]
+        x, w, b = _conv_operands(rng, cin, cout, k, groups, hw, n=3)
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b) if bias else None,
+                       stride=s, padding=p, groups=groups).data
+        assert out.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(
+            out, naive_conv2d(x, w, b if bias else None, (s, s), (p, p), groups),
+            rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "cin,cout,stride,hw",
+        [(3, 8, 1, 32), (32, 64, 2, 16), (64, 64, 1, 4)],
+        ids=["3to8-32x32", "32to64-stride2", "64to64-4x4"],
+    )
+    def test_matches_naive_at_model_shapes(self, rng, cin, cout, stride, hw):
+        x, w, b = _conv_operands(rng, cin, cout, 3, 1, hw, n=2)
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1)
+        np.testing.assert_allclose(
+            out.data, naive_conv2d(x, w, b, (stride, stride), (1, 1)),
+            rtol=1e-4, atol=1e-4)
+
     @pytest.mark.parametrize(
         "stride,padding,groups",
         [((1, 1), (0, 0), 1), ((1, 1), (1, 1), 1), ((2, 2), (1, 1), 1),

@@ -269,6 +269,31 @@ class TestSerialJournal:
         assert f1 != f3
 
 
+class TestInterruptedPerf:
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_interrupted_run_counts_its_completed_injections(
+            self, trained_tiny_model, monkeypatch, workers):
+        from repro.campaign.runner import _CampaignRun
+
+        model, dataset, _ = trained_tiny_model
+        orig = _CampaignRun.fold
+
+        def interrupting(self, cid, record, *args, **kwargs):
+            folded = orig(self, cid, record, *args, **kwargs)
+            if folded and len(self.done) == 2:  # true for one fold only
+                raise KeyboardInterrupt
+            return folded
+
+        monkeypatch.setattr(_CampaignRun, "fold", interrupting)
+        campaign = _campaign(model, dataset)
+        with pytest.raises(CampaignInterrupted) as info:
+            campaign.run(40, workers=workers)
+        partial = info.value.partial
+        assert 0 < partial["completed_injections"] < partial["n_injections"]
+        assert campaign.perf.injections == partial["completed_injections"]
+        assert campaign.perf.injections_per_sec > 0
+
+
 # ---------------------------------------------------------------------- #
 # Parallel chaos: worker death, hangs, poisoned chunks
 # ---------------------------------------------------------------------- #
