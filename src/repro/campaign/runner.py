@@ -45,8 +45,10 @@ from .stats import Proportion
 from .trace import margin
 
 # The resume engine's tallies that ``perf`` mirrors, as chunk-record keys.
+# ``cache_bytes`` is not one: it is a gauge of this process's own cache
+# (see ``_sync_cache_bytes``), and a worker's cache dies with the worker.
 _ENGINE_PERF_KEYS = ("capture_forwards", "cache_hits", "cache_misses",
-                     "cache_evictions", "cache_bytes")
+                     "cache_evictions")
 
 
 @dataclass
@@ -255,6 +257,7 @@ class InjectionCampaign:
                 keep_labels.append(chunk_labels[correct])
                 keep_logits.append(logits[correct])
         self.perf.add(self._engine_delta(engine_before))
+        self._sync_cache_bytes()
         self.pool_images = np.concatenate(keep_images)
         self.pool_labels = np.concatenate(keep_labels)
         self.pool_logits = np.concatenate(keep_logits)
@@ -509,12 +512,17 @@ class InjectionCampaign:
             return (0,) * len(_ENGINE_PERF_KEYS)
         cache = self._resume.cache
         return (self._resume.capture_forwards, cache.hits, cache.misses,
-                cache.evictions, cache.bytes_used)
+                cache.evictions)
 
     def _engine_delta(self, before):
         """How far the engine's tallies moved since ``before``, keyed like ``perf``."""
         return {key: after - prior for key, prior, after
                 in zip(_ENGINE_PERF_KEYS, before, self._engine_counts())}
+
+    def _sync_cache_bytes(self):
+        """Set the ``perf.cache_bytes`` gauge to what this process's cache holds."""
+        self.perf.cache_bytes = (self._resume.cache.bytes_used
+                                 if self._resume is not None else 0)
 
     # ------------------------------------------------------------------ #
     # Resident (persistent) faults
@@ -534,9 +542,8 @@ class InjectionCampaign:
         key = resident.fingerprint if resident is not None else None
         if key != self._resident_cache_key:
             if self._resume is not None:
-                # The cleared rows leave the cache's byte count.
-                self.perf.cache_bytes -= self._resume.cache.bytes_used
                 self._resume.cache.clear()
+                self._sync_cache_bytes()
             self._resident_cache_key = key
         if resident is not None:
             resident.apply(self.fi)
@@ -819,6 +826,10 @@ class _CampaignRun:
         self.corrupted_total += record["corruptions"]
         self.completed_injections += record["injections"]
         perf = campaign.perf.add(record["perf"])
+        # An inline chunk changed this process's cache, a worker's chunk
+        # only its own; a record from an older journal may still carry a
+        # cache_bytes delta.  Either way the gauge is re-read here.
+        campaign._sync_cache_bytes()
         self.trace_events.update(recovery_mod.chunk_record_events(record))
         bus = campaign.telemetry
         for source, kind, data, wid in rows:

@@ -1,17 +1,20 @@
 """Functional neural-network kernels with custom autograd rules.
 
-The convolution is implemented with an im2col transform over
-``numpy.lib.stride_tricks.sliding_window_view`` (forward) and a col2im
-scatter (backward); grouped convolution supports the depthwise nets in the
-zoo (MobileNet, ShuffleNet).  All kernels are pure numpy — this is the
+The convolution is an im2col transform (forward) and a col2im scatter
+(backward); grouped convolution supports the depthwise nets in the zoo
+(MobileNet, ShuffleNet).  All kernels are pure numpy — this is the
 "silicon" of the reproduction, replacing PyTorch's ATen (see DESIGN.md §2).
 
-The im2col columns are K-major, ``(N, G, Cg*KH*KW, OH*OW)``.  Windows
-overlap, so the columns are a real copy; in this order the copy's inner
-run is a whole output row (OW elements) instead of a kernel row (KW, often
-3), and the GEMM ``w_mat @ cols`` needs no transposed operand.  Its
+The im2col columns are K-major, ``(N, G, Cg*KH*KW, OH*OW)``, and are
+written tap by tap straight from the unpadded input: no padded copy and no
+window view is staged.  Windows overlap, so the columns are a real copy; in
+this order each tap's copy runs along whole output rows (OW elements), and
+the GEMM ``w_mat @ cols`` needs no transposed operand.  Its
 ``(N, G, OCg, OH*OW)`` result is NCHW as a view (DESIGN.md §7), and each
 batch row is its own GEMM, so rows do not depend on the batch around them.
+
+Eval-mode batch norm is one op over the running statistics, computed in a
+single buffer with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -48,6 +51,17 @@ def _windows(padded, kernel_hw, stride_hw):
     sh, sw = stride_hw
     view = sliding_window_view(padded, (kh, kw), axis=(2, 3))
     return view[:, :, ::sh, ::sw]
+
+
+def _tap_range(k, pad, stride, size, out):
+    """Outputs ``[lo, hi)`` whose kernel tap ``k`` reads inside the input.
+
+    Output ``o`` reads input index ``o * stride + k - pad``; the range is
+    empty (``lo >= hi``) when every read of the tap falls in the padding.
+    """
+    lo = max(0, -((k - pad) // stride))
+    hi = min(out, (size - 1 + pad - k) // stride + 1)
+    return lo, hi
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
@@ -90,13 +104,21 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
         return _conv2d_pointwise(x, weight, bias, w_mat, bias_vec,
                                  (sh, sw), groups, (oh, ow))
 
-    padded = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
-    cols = _windows(padded, (kh, kw), (sh, sw))  # (N, C, OH, OW, KH, KW)
-    # K-major columns (N, G, Cg*KH*KW, OH*OW): the copy's inner run is a
-    # whole output row (OW), not the KW-wide kernel row.
-    cols_g = cols.reshape(n, groups, c_per_group, oh, ow, kh, kw)
-    cols_mat = np.ascontiguousarray(cols_g.transpose(0, 1, 2, 5, 6, 3, 4))
-    cols_mat = cols_mat.reshape(n, groups, c_per_group * kh * kw, oh * ow)
+    # K-major columns (N, C, KH, KW, OH, OW), written tap by tap straight
+    # from the unpadded input: tap (i, j) of output (r, c) reads input
+    # (r*sh + i - ph, c*sw + j - pw), and the outputs whose read falls in
+    # the padding keep their zero.  Each copy's inner run is an output row.
+    cols = (np.zeros if (ph or pw) else np.empty)((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+    for i in range(kh):
+        r0, r1 = _tap_range(i, ph, sh, h, oh)
+        for j in range(kw):
+            c0, c1 = _tap_range(j, pw, sw, w, ow)
+            if r0 < r1 and c0 < c1:
+                rs, cs = r0 * sh + i - ph, c0 * sw + j - pw
+                cols[:, :, i, j, r0:r1, c0:c1] = xd[
+                    :, :, rs : rs + (r1 - r0 - 1) * sh + 1 : sh,
+                    cs : cs + (c1 - c0 - 1) * sw + 1 : sw]
+    cols_mat = cols.reshape(n, groups, c_per_group * kh * kw, oh * ow)
     # (N, G, OCg, OH*OW).  This orientation reshapes to NCHW as a contiguous
     # view, so conv outputs always share one memory layout — checkpoint
     # replays that substitute cached (contiguous) outputs stay bitwise
@@ -104,7 +126,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
     out = np.matmul(w_mat, cols_mat)
     out = out.reshape(n, oc, oh, ow)
     if bias_vec is not None:
-        out = out + bias_vec.reshape(1, oc, 1, 1)
+        out += bias_vec.reshape(1, oc, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -122,7 +144,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
             # K-major like the forward's columns: (N, G, Cg*KH*KW, OH*OW)
             grad_cols = np.matmul(w_mat.transpose(0, 2, 1), g_mat)
             grad_cols = grad_cols.reshape(n, groups, c_per_group, kh, kw, oh, ow)
-            gx_padded = np.zeros(padded.shape, dtype=padded.dtype)
+            gx_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
             hp, wp = gx_padded.shape[2:]
             # Accumulate through strided views on both sides instead of
             # materialising the (N, C, OH, OW, KH, KW) transpose copy the
@@ -170,7 +192,7 @@ def _conv2d_pointwise(x, weight, bias, w_mat, bias_vec, stride, groups, out_hw):
     out = np.matmul(w_mat, x_flat)  # (N, G, OCg, OH*OW)
     out = out.reshape(n, oc, oh, ow)
     if bias_vec is not None:
-        out = out + bias_vec.reshape(1, oc, 1, 1)
+        out += bias_vec.reshape(1, oc, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -365,17 +387,16 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None, training=Fa
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
-    if training:
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
-        if running_mean is not None:
-            count = int(np.prod([x.shape[a] for a in axes]))
-            unbiased = var.data.reshape(-1) * count / max(count - 1, 1)
-            running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean.data.reshape(-1)
-            running_var.data[...] = (1 - momentum) * running_var.data + momentum * unbiased
-    else:
-        mean = Tensor(running_mean.data.reshape(shape), device=x.device)
-        var = Tensor(running_var.data.reshape(shape), device=x.device)
+    if not training:
+        return _batch_norm_eval(x, running_mean, running_var, weight, bias, eps,
+                                axes, shape)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    if running_mean is not None:
+        count = int(np.prod([x.shape[a] for a in axes]))
+        unbiased = var.data.reshape(-1) * count / max(count - 1, 1)
+        running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean.data.reshape(-1)
+        running_var.data[...] = (1 - momentum) * running_var.data + momentum * unbiased
     inv_std = (var + eps) ** -0.5
     out = (x - mean) * inv_std
     if weight is not None:
@@ -383,6 +404,50 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None, training=Fa
     if bias is not None:
         out = out + bias.reshape(shape)
     return out
+
+
+def _batch_norm_eval(x, running_mean, running_var, weight, bias, eps, axes, shape):
+    """Eval batch norm over the running statistics as one op.
+
+    The forward is ``((x - mean) * inv_std) * w + b`` — the ops, operand
+    dtypes and order of the composed ``Tensor`` expression, so the output
+    is bitwise the same — written into one buffer instead of four
+    temporaries.  The backward (for ``x``, ``weight`` and ``bias``; Grad-CAM
+    takes eval-mode gradients) is written out by hand.
+    """
+    xd = x.data
+    # Read through the Tensor constructor (float64 becomes float32): the
+    # dtype rule of the composed expression this op matches bitwise.
+    mean = Tensor(running_mean.data.reshape(shape)).data
+    var = Tensor(running_var.data.reshape(shape)).data
+    inv_std = (var + np.asarray(eps, dtype=var.dtype)) ** -0.5
+    w = weight.data.reshape(shape) if weight is not None else None
+    out = _into(np.multiply, xd - mean, inv_std)
+    if weight is not None:
+        out = _into(np.multiply, out, w)
+    if bias is not None:
+        out = _into(np.add, out, bias.data.reshape(shape))
+    parents = tuple(t for t in (x, weight, bias) if t is not None)
+
+    def backward(g):
+        grads = [((g * w) if weight is not None else g) * inv_std
+                 if x.requires_grad else None]
+        if weight is not None:
+            grads.append((g * ((xd - mean) * inv_std)).sum(axis=axes).reshape(weight.shape)
+                         if weight.requires_grad else None)
+        if bias is not None:
+            grads.append(g.sum(axis=axes).reshape(bias.shape)
+                         if bias.requires_grad else None)
+        return tuple(grads)
+
+    return Tensor._from_op(out, parents, backward, "batch_norm", x.device)
+
+
+def _into(ufunc, out, operand):
+    """``ufunc(out, operand)``, written into ``out`` when that keeps its dtype."""
+    if np.promote_types(out.dtype, operand.dtype) == out.dtype:
+        return ufunc(out, operand, out=out)
+    return ufunc(out, operand)
 
 
 def dropout(x, p=0.5, training=True, rng=None):

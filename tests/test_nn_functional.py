@@ -59,6 +59,42 @@ def _conv_operands(rng, cin, cout, kernel, groups, hw, n):
     return x, w, b
 
 
+def naive_conv2d_input_grad(g, w, x_shape, stride, padding, groups=1):
+    """Loop reference for conv2d's input gradient: scatter ``g * w`` back."""
+    n, c, h, wdt = x_shape
+    oc, cg, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    gx = np.zeros((n, c, h + 2 * ph, wdt + 2 * pw), dtype=np.float64)
+    ocg = oc // groups
+    for img in range(n):
+        for f in range(oc):
+            grp = f // ocg
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    gx[img, grp * cg : (grp + 1) * cg,
+                       i * sh : i * sh + kh, j * sw : j * sw + kw] += g[img, f, i, j] * w[f]
+    return gx[:, :, ph : ph + h, pw : pw + wdt].astype(np.float32)
+
+
+#: ``(cin, cout, kernel, stride, padding, groups, (h, w))`` at the edges of
+#: the tap-by-tap im2col copy: outputs whose every read falls in the
+#: padding, a tap that reads nothing, odd sizes under stride 2,
+#: non-square kernels, and grouped and depthwise convs with padding.
+TAP_EDGES = {
+    "3x3-pad2": (3, 4, (3, 3), (1, 1), (2, 2), 1, (5, 5)),
+    "5x5-on-4x4-pad2": (3, 4, (5, 5), (1, 1), (2, 2), 1, (4, 4)),
+    "1x1-pad1": (3, 4, (1, 1), (1, 1), (1, 1), 1, (4, 5)),
+    "3x3-stride2-pad1-on-1x1": (3, 4, (3, 3), (2, 2), (1, 1), 1, (1, 1)),
+    "stride2-odd": (4, 6, (3, 3), (2, 2), (1, 1), 1, (7, 9)),
+    "stride2-odd-unpadded": (4, 6, (3, 3), (2, 2), (0, 0), 1, (9, 7)),
+    "1x3": (4, 6, (1, 3), (1, 1), (0, 1), 1, (6, 7)),
+    "3x1": (4, 6, (3, 1), (1, 1), (1, 0), 1, (7, 6)),
+    "grouped-pad": (8, 12, (3, 3), (1, 1), (1, 1), 4, (6, 6)),
+    "depthwise-pad-stride2": (6, 6, (3, 3), (2, 2), (1, 1), 6, (7, 7)),
+}
+
+
 class TestConv2d:
     @pytest.mark.parametrize("path", sorted(CONV_PATHS))
     def test_rows_are_batch_invariant(self, rng, path):
@@ -162,6 +198,31 @@ class TestConv2d:
         assert_grad_close(w.grad, numerical_gradient(fn, w))
         assert_grad_close(b.grad, numerical_gradient(fn, b))
 
+    @pytest.mark.parametrize("edge", sorted(TAP_EDGES))
+    def test_tap_edges_match_naive(self, rng, edge):
+        cin, cout, kernel, stride, padding, groups, (h, w) = TAP_EDGES[edge]
+        x = rng.standard_normal((2, cin, h, w)).astype(np.float32)
+        wt = rng.standard_normal((cout, cin // groups) + kernel).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        out = F.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride,
+                       padding=padding, groups=groups)
+        np.testing.assert_allclose(
+            out.data, naive_conv2d(x, wt, b, stride, padding, groups),
+            rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("edge", sorted(TAP_EDGES))
+    def test_tap_edges_input_grad_matches_naive(self, rng, edge):
+        cin, cout, kernel, stride, padding, groups, (h, w) = TAP_EDGES[edge]
+        x = Tensor(rng.standard_normal((2, cin, h, w)).astype(np.float32),
+                   requires_grad=True)
+        wt = rng.standard_normal((cout, cin // groups) + kernel).astype(np.float32)
+        out = F.conv2d(x, Tensor(wt), stride=stride, padding=padding, groups=groups)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(Tensor(g))
+        np.testing.assert_allclose(
+            x.grad.data, naive_conv2d_input_grad(g, wt, x.shape, stride, padding, groups),
+            rtol=1e-4, atol=1e-4)
+
 
 class TestPooling:
     def test_max_pool_matches_naive(self, rng):
@@ -263,6 +324,95 @@ class TestBatchNorm:
         layer = nn.BatchNorm1d(6)
         out = layer(Tensor(rng.standard_normal((10, 6)).astype(np.float32)))
         assert out.shape == (10, 6)
+
+
+class TestBatchNormEval:
+    """Eval batch norm is one op: bitwise the composed ``Tensor`` expression."""
+
+    @staticmethod
+    def _operands(rng, shape, affine, dtype=np.float32, param_dtype=np.float32):
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 2 + 0.5).astype(dtype)
+        rm = rng.standard_normal(c).astype(np.float32)
+        rv = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        w = rng.uniform(0.5, 1.5, c).astype(param_dtype) if affine else None
+        b = rng.standard_normal(c).astype(param_dtype) if affine else None
+        return x, rm, rv, w, b
+
+    @staticmethod
+    def _composed(x, rm, rv, w, b, eps=1e-5):
+        """The reference: eval batch norm as composed ``Tensor`` ops."""
+        shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+        mean = Tensor(rm.reshape(shape))
+        var = Tensor(rv.reshape(shape))
+        out = (x - mean) * ((var + eps) ** -0.5)
+        if w is not None:
+            out = out * w.reshape(shape)
+        if b is not None:
+            out = out + b.reshape(shape)
+        return out
+
+    @staticmethod
+    def _tensors(x, w, b):
+        return (Tensor(x, requires_grad=True),
+                None if w is None else Tensor(w, requires_grad=True),
+                None if b is None else Tensor(b, requires_grad=True))
+
+    @pytest.mark.parametrize("shape", [(6, 5), (3, 5, 4, 4)], ids=["2d", "4d"])
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_forward_is_bitwise_the_composed_op(self, rng, shape, affine):
+        x, rm, rv, w, b = self._operands(rng, shape, affine)
+        tx, tw, tb = self._tensors(x, w, b)
+        out = F.batch_norm(tx, Tensor(rm), Tensor(rv), tw, tb, training=False)
+        expected = self._composed(Tensor(x), rm, rv, tw, tb)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out.data, expected.data)
+
+    @pytest.mark.parametrize(
+        "dtype,param_dtype",
+        [(np.float16, np.float32), (np.float32, np.float64), (np.float64, np.float32)],
+        ids=["fp16-input", "fp64-affine", "fp64-input"])
+    def test_forward_keeps_the_composed_dtype_promotion(self, rng, dtype, param_dtype):
+        x, rm, rv, w, b = self._operands(rng, (3, 5, 4, 4), True, dtype, param_dtype)
+        # ``dtype=`` keeps float64 data float64 (Tensor's default is float32).
+        tx, tw, tb = (Tensor(a, dtype=a.dtype) for a in (x, w, b))
+        out = F.batch_norm(tx, Tensor(rm), Tensor(rv), tw, tb)
+        expected = self._composed(tx, rm, rv, tw, tb)
+        assert out.dtype == expected.dtype == np.result_type(dtype, param_dtype)
+        np.testing.assert_array_equal(out.data, expected.data)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (3, 5, 4, 4)], ids=["2d", "4d"])
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_gradients_match_composed_autograd(self, rng, shape, affine):
+        x, rm, rv, w, b = self._operands(rng, shape, affine)
+        g = rng.standard_normal(shape).astype(np.float32)
+        fused = self._tensors(x, w, b)
+        F.batch_norm(fused[0], Tensor(rm), Tensor(rv), fused[1], fused[2],
+                     training=False).backward(Tensor(g))
+        composed = self._tensors(x, w, b)
+        self._composed(composed[0], rm, rv, composed[1], composed[2]).backward(Tensor(g))
+        for got, want in zip(fused, composed):
+            if want is not None:
+                np.testing.assert_allclose(got.grad.data, want.grad.data,
+                                           rtol=1e-6, atol=1e-6)
+
+    def test_gradients_match_finite_differences(self, rng):
+        x, rm, rv, w, b = self._operands(rng, (2, 3, 3, 3), True)
+        tx, tw, tb = self._tensors(x, w, b)
+        g = Tensor(rng.standard_normal(x.shape).astype(np.float32))
+
+        def fn():
+            return (F.batch_norm(tx, Tensor(rm), Tensor(rv), tw, tb) * g).sum()
+
+        fn().backward()
+        for t in (tx, tw, tb):
+            assert_grad_close(t.grad, numerical_gradient(fn, t))
+
+    def test_frozen_affine_params_get_no_gradient(self, rng):
+        x, rm, rv, w, b = self._operands(rng, (3, 5, 4, 4), True)
+        tx, tw, tb = Tensor(x, requires_grad=True), Tensor(w), Tensor(b)
+        F.batch_norm(tx, Tensor(rm), Tensor(rv), tw, tb).sum().backward()
+        assert tx.grad is not None and tw.grad is None and tb.grad is None
 
 
 class TestDropoutAndActivations:

@@ -31,6 +31,7 @@ from repro.data import SelfLabelledDataset as SelfLabelled
 from repro.data import SyntheticClassification
 from repro.observe import PropagationTracer, aggregate, load_events
 from repro.profile import Profiler, chrome_trace_events
+from repro.scenario import sample_resident_faults
 
 from .test_resume import REGISTRY
 
@@ -106,6 +107,22 @@ class TestParallelEquivalence:
         assert result.corruptions == serial.corruptions
         assert campaign.parallel_info["workers"] <= 16
         assert sum(campaign.parallel_info["per_worker_injections"]) == 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cache_bytes_gauges_the_campaigns_own_cache(
+            self, trained_tiny_model, tmp_path, workers):
+        # A resident fault set clears the clean-activation cache, so the
+        # chunks refill it wherever they run; a worker's refill dies with
+        # the worker.  The second campaign folds every chunk from the journal.
+        model, dataset, _ = trained_tiny_model
+        journal = str(tmp_path / "run.journal")
+        for _ in range(2):
+            campaign = _campaign(model, dataset)
+            resident = sample_resident_faults(
+                campaign.fi, 2, np.random.default_rng(5), stuck=1)
+            for kwargs in ({"resident": resident, "journal": journal}, {}):
+                campaign.run(self.N, workers=workers, **kwargs)
+                assert campaign.perf.cache_bytes == campaign._resume.cache.bytes_used
 
     @pytest.mark.parametrize(
         "name,strategy",
