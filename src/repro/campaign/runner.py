@@ -354,13 +354,20 @@ class InjectionCampaign:
         site_layers = ([int(layers[p]) for p in positions] if layers is not None
                        else [int(layer_idx)] * len(positions))
         resume_plan = None
-        if self._resume is not None:
-            resume_plan = self._resume.plan_chunk(layer_idx, list(idx), self.pool_images)
-        if observer is not None:
-            with prof.span("campaign.observe", cat="campaign", phase="prepare",
-                           layer=layer_idx):
-                observer.prepare_chunk(layer_idx, [int(i) for i in idx],
-                                       self.pool_images[idx])
+        # Under resident faults the clean forwards below (cache refills,
+        # observer references) run the faulted weights, which overflow as
+        # legitimately as an injected forward; without residents they warn.
+        quiet = (np.errstate(all="ignore") if self._resident_active is not None
+                 else nullcontext())
+        with quiet:
+            if self._resume is not None:
+                resume_plan = self._resume.plan_chunk(layer_idx, list(idx),
+                                                      self.pool_images)
+            if observer is not None:
+                with prof.span("campaign.observe", cat="campaign", phase="prepare",
+                               layer=layer_idx):
+                    observer.prepare_chunk(layer_idx, [int(i) for i in idx],
+                                           self.pool_images[idx])
         if self.target == "weight":
             sites = [
                 WeightSite(layer=site_layers[b], coords=coords[p],

@@ -121,11 +121,11 @@ def _batched_locations(gen, layer_pool, sizes, shapes, n, layer, strategy,
         slots = np.nonzero(picks == p)[0]
         shape = shapes[int(p)]
         flat_idx = gen.integers(0, int(sizes[p]), size=len(slots))
-        unravelled = np.unravel_index(flat_idx, shape)
-        for j, slot in enumerate(slots):
-            coord = tuple(int(axis[j]) for axis in unravelled)
-            if channel_map is not None:
-                coord = (channel_map[coord[0]],) + coord[1:]
+        unravelled = list(np.unravel_index(flat_idx, shape))
+        if channel_map is not None:
+            unravelled[0] = np.asarray(channel_map)[unravelled[0]]
+        for slot, coord in zip(slots.tolist(),
+                               zip(*(axis.tolist() for axis in unravelled))):
             coords[slot] = coord
     return layers, coords
 

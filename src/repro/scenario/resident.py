@@ -20,6 +20,7 @@ weights copy-on-write), and each planned injection.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -94,9 +95,16 @@ class ResidentFaultSet:
         domain = "int8" if self.quantization is not None else "float32"
         return f"ResidentFaultSet({len(self.faults)} faults, domain={domain})"
 
-    @property
+    @functools.cached_property
     def fingerprint(self):
-        """Stable digest of the fault set (journal/cache identity)."""
+        """Stable digest of the fault set (journal/cache identity).
+
+        Computed on first access, not at construction, and memoized: the
+        faults are an immutable tuple, and the sorted ``repr`` pass costs
+        tens of milliseconds at K in the tens of thousands, which scenario
+        compilation should not pay and each run's cache-key check need
+        not pay again.
+        """
         h = hashlib.sha256()
         for fault in sorted(self.faults, key=lambda f: (f.layer, f.coords)):
             h.update(repr((fault.layer, tuple(fault.coords), fault.bit,
@@ -114,66 +122,98 @@ class ResidentFaultSet:
             return None
         return self.quantization[layer]
 
-    def _faulted_value(self, original, fault):
-        """The stuck-at value for one weight element (original's dtype)."""
-        quant = self._quant_for(fault.layer)
+    def _by_layer(self, fi):
+        """Group the faults by layer and validate them against ``fi``.
+
+        Returns ``[(layer, index, bits, stuck), ...]`` in layer order:
+        ``index`` is a tuple of per-axis coordinate arrays (one fancy index
+        for all of the layer's faults), ``bits`` and ``stuck`` per-fault
+        arrays in the same order.  Every coordinate is bounds-checked
+        before anything is returned; of several bad faults, the first in
+        set order names the :class:`ValueError`.
+        """
+        positions = {}
+        for pos, fault in enumerate(self.faults):
+            positions.setdefault(fault.layer, []).append(pos)
+        groups, errors = [], []
+        for layer in sorted(positions):
+            faults = [self.faults[pos] for pos in positions[layer]]
+            info = fi.layer(layer)
+            if info.weight_shape is None:
+                errors.append((positions[layer][0],
+                               f"layer {layer} ({info.name}) has no weights"))
+                continue
+            rank = len(info.weight_shape)
+            # A coordinate of the wrong rank becomes all -1: out of bounds.
+            grid = np.array([f.coords if len(f.coords) == rank else (-1,) * rank
+                             for f in faults], dtype=np.int64).reshape(-1, rank)
+            valid = ((grid >= 0) & (grid < info.weight_shape)).all(axis=1)
+            if not valid.all():
+                bad = int(np.argmin(valid))
+                errors.append((positions[layer][bad],
+                               f"weight coords {faults[bad].coords} invalid for "
+                               f"layer {layer} ({info.name}, shape "
+                               f"{info.weight_shape})"))
+                continue
+            groups.append((layer, tuple(grid.T), np.array([f.bit for f in faults]),
+                           np.array([f.stuck for f in faults], dtype=bool)))
+        if errors:
+            raise ValueError(min(errors)[1])
+        return groups
+
+    def _faulted_values(self, layer, originals, bits, stuck):
+        """The stuck-at values of one layer's faulted elements, vectorised."""
+        quant = self._quant_for(layer)
+        values = quant.quantize(originals) if quant is not None else originals
+        forced = np.where(stuck, bitflip.set_bits(values, bits),
+                          bitflip.clear_bits(values, bits))
         if quant is not None:
-            q = quant.quantize(np.asarray([original]))
-            forced = bitflip.stuck_at_bits(q, fault.bit, fault.stuck)
-            return quant.dequantize(forced).astype(np.asarray(original).dtype)[0]
-        values = np.asarray([original])
-        return bitflip.stuck_at_bits(values, fault.bit, fault.stuck)[0]
+            return quant.dequantize(forced).astype(originals.dtype)
+        return forced
 
     def apply(self, fi):
         """Write the stuck-at values into ``fi``'s model weights.
 
-        Validates every site against the engine's profile first, then
-        checksums each affected weight array before touching it.
+        Works one layer at a time: every site is validated against the
+        engine's profile and every faulted value computed before any
+        weight is written; each affected weight array is checksummed, its
+        originals gathered with one fancy index, and the faulted values
+        scattered back with one indexed assignment.
         """
         if self._applied is not None:
             raise RuntimeError("resident fault set is already applied")
         modules = [m for _, m in fi._iter_instrumentable(fi.model)]
-        checksums = {}
-        snapshots = []
-        for fault in self.faults:
-            info = fi.layer(fault.layer)
-            if info.weight_shape is None:
-                raise ValueError(
-                    f"layer {fault.layer} ({info.name}) has no weights")
-            if len(fault.coords) != len(info.weight_shape) or any(
-                    not 0 <= c < bound
-                    for c, bound in zip(fault.coords, info.weight_shape)):
-                raise ValueError(
-                    f"weight coords {fault.coords} invalid for layer "
-                    f"{fault.layer} ({info.name}, shape {info.weight_shape})")
-        for fault in self.faults:
-            weight = modules[fault.layer].weight
-            if fault.layer not in checksums:
-                checksums[fault.layer] = (
-                    weight, hashlib.sha256(weight.data.tobytes()).hexdigest())
-            coords = tuple(fault.coords)
-            original = weight.data[coords]
-            snapshots.append((weight, coords, original))
-            weight.data[coords] = self._faulted_value(original, fault)
-        self._applied = (snapshots, checksums)
+        applied, faulted = [], []
+        for layer, index, bits, stuck in self._by_layer(fi):
+            weight = modules[layer].weight
+            originals = weight.data[index]
+            faulted.append(self._faulted_values(layer, originals, bits, stuck))
+            applied.append((layer, weight, index, originals, _digest(weight.data)))
+        # Nothing is written until every layer's values exist, so a bit past
+        # the storage width raises with the weights still clean.
+        for (_, weight, index, _, _), values in zip(applied, faulted):
+            weight.data[index] = values
+        self._applied = applied
         return self
 
     def restore(self):
         """Undo :meth:`apply`; verify affected arrays restored bitwise."""
         if self._applied is None:
             raise RuntimeError("resident fault set is not applied")
-        snapshots, checksums = self._applied
-        # Reverse order restores correctness even if a future caller
-        # stacks two faults on one element.
-        for weight, coords, original in reversed(snapshots):
-            weight.data[coords] = original
-        for layer, (weight, digest) in checksums.items():
-            if hashlib.sha256(weight.data.tobytes()).hexdigest() != digest:
+        for _, weight, index, originals, _ in self._applied:
+            weight.data[index] = originals
+        for layer, weight, _, _, digest in self._applied:
+            if _digest(weight.data) != digest:
                 raise RuntimeError(
                     f"bitwise weight restoration failed for layer {layer}: "
                     f"the restored array does not match its pre-fault bytes")
         self._applied = None
         return self
+
+
+def _digest(array):
+    """sha256 of an array's bytes, hashed from its buffer without a copy."""
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
 
 
 def sample_resident_faults(fi, k, rng, bit=None, stuck=1, layers=None,
@@ -208,19 +248,16 @@ def sample_resident_faults(fi, k, rng, bit=None, stuck=1, layers=None,
                 f"cannot sample {k} distinct weight sites under the "
                 f"selector (only {capacity} eligible); reduce the fault "
                 f"count or widen the selection")
-    sites = []
-    seen = set()
+    # A dict is the ordered set of distinct sites: a re-drawn site keeps
+    # its first position, new ones append in draw order.
+    sites = {}
     stagnant = 0
     while len(sites) < k:
         want = k - len(sites)
         layer_idx, coords = random_weight_locations(
             fi, want, rng=rng, layers=layers, channels=channels)
         before = len(sites)
-        for layer, coord in zip(layer_idx, coords):
-            site = (int(layer), tuple(coord))
-            if site not in seen:
-                seen.add(site)
-                sites.append(site)
+        sites.update(dict.fromkeys(zip(layer_idx.tolist(), coords)))
         # Re-draws replace collisions; many consecutive all-collision
         # rounds means k approaches (or exceeds) the number of distinct
         # eligible sites, which deserves an error rather than a hang.
@@ -230,9 +267,9 @@ def sample_resident_faults(fi, k, rng, bit=None, stuck=1, layers=None,
                 f"cannot sample {k} distinct weight sites under the "
                 f"selector (found {len(sites)}); reduce the fault count "
                 f"or widen the selection")
-    faults = []
-    for layer, coord in sites:
-        chosen = int(rng.integers(0, bits)) if bit is None else int(bit)
-        faults.append(ResidentWeightFault(layer=layer, coords=coord,
-                                          bit=chosen, stuck=stuck))
+    # One draw per site, in site order: the same stream as a scalar draw each.
+    chosen = (rng.integers(0, bits, size=len(sites)).tolist() if bit is None
+              else [int(bit)] * len(sites))
+    faults = [ResidentWeightFault(layer, coord, b, stuck)
+              for (layer, coord), b in zip(sites, chosen)]
     return ResidentFaultSet(faults, quantization=quantization)
