@@ -153,22 +153,26 @@ def plan_fingerprint(campaign, n_injections, plan):
 # Chunk records
 # ---------------------------------------------------------------------- #
 
-def fold_chunk_tallies(record, per_layer_inj, per_layer_cor):
-    """Fold one chunk record's per-layer tallies into the given arrays.
+def fold_chunk_tallies(record, per_layer_inj, per_layer_cor, trace_rows=None):
+    """Fold one chunk record's lane rows into the given per-layer arrays.
 
-    Lane-packed chunks may mix layers, so records carry per-position
-    ``tallies`` — ``[layer, corrupted]`` pairs in batch-lane order.
-    Single-layer records without them (the scalar ``layer`` field) still
-    fold, so older journal records stay readable.
+    Rows are ``[plan position, {layer, corrupted, ...}]`` in batch-lane
+    order, so a lane-packed chunk credits each lane's own layer.  Returns
+    the chunk's ``[layer, corrupted]`` tallies.  A ``trace_rows`` dict
+    also receives each row by plan position, its JSON coordinate list
+    restored to the tuple :class:`~repro.campaign.trace.InjectionTrace`
+    records.  Older records also carry ``tallies`` and ``positions``,
+    which repeat the rows and are ignored.
     """
-    tallies = record.get("tallies")
-    if tallies:
-        for layer, corrupted in tallies:
-            per_layer_inj[int(layer)] += 1
-            per_layer_cor[int(layer)] += int(corrupted)
-    elif record.get("layer") is not None:
-        per_layer_inj[record["layer"]] += record["injections"]
-        per_layer_cor[record["layer"]] += record["corruptions"]
+    tallies = []
+    for position, row in record["trace_events"]:
+        layer, corrupted = row["layer"], int(row["corrupted"])
+        per_layer_inj[layer] += 1
+        per_layer_cor[layer] += corrupted
+        tallies.append([layer, corrupted])
+        if trace_rows is not None:
+            trace_rows[position] = {**row, "coords": tuple(row["coords"])}
+    return tallies
 
 
 # ---------------------------------------------------------------------- #
@@ -325,18 +329,3 @@ def open_journal(path, campaign, n_injections, plan, n_chunks):
         })
     return journal, completed
 
-
-def chunk_record_events(record):
-    """Trace events stored in a journaled chunk, as ``{position: event}``.
-
-    Coordinates round-trip through JSON as lists; they are restored to the
-    tuples :class:`~repro.campaign.trace.InjectionTrace` records, so a
-    resumed traced campaign is indistinguishable from an undisturbed one.
-    """
-    events = {}
-    for position, event in record.get("trace_events") or []:
-        event = dict(event)
-        if "coords" in event and event["coords"] is not None:
-            event["coords"] = tuple(event["coords"])
-        events[int(position)] = event
-    return events

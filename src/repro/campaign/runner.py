@@ -427,12 +427,13 @@ class InjectionCampaign:
         decision is already in the plan arrays, so this method draws from
         no generator and its record depends only on the chunk.
 
-        The record is JSON-serialisable: layer, positions, injection and
-        corruption counts, per-lane ``[layer, corrupted]`` tallies, the
-        chunk's perf-counter deltas and, when the run records them, its
-        trace events keyed by plan position.  This method writes no
-        counters: the run's fold adds the record's ``perf`` to
-        ``campaign.perf``, wherever the chunk ran.
+        The record is JSON-serialisable: the chunk's base layer, its
+        injection and corruption counts, its ``trace_events`` lane rows
+        (``[plan position, {layer, coords, batch_slot, label, predicted,
+        corrupted, margin_before, margin_after}]`` in batch-lane order) and
+        its perf-counter deltas.  This method writes no counters: the run's
+        fold adds the record's ``perf`` to ``campaign.perf``, wherever the
+        chunk ran.
         """
         positions = run.chunks[cid]
         pool_idx, layers, coords, seeds = run.plan
@@ -457,35 +458,40 @@ class InjectionCampaign:
                                     cache_evictions=engine["cache_evictions"])
         skipped = skipped or 0
         labels = self.pool_labels[idx]
-        flags = self.criterion(logits, labels, self.pool_logits[idx])
-        # Per-lane [layer, corrupted] pairs: lane-packed chunks may mix
-        # layers, so per-layer tallies fold from these.
-        tallies = [[int(layers[p]), int(bool(flags[b]))]
-                   for b, p in enumerate(positions)]
-        corruptions = sum(corrupted for _, corrupted in tallies)
+        clean_logits = self.pool_logits[idx]
+        flags = np.asarray(self.criterion(logits, labels, clean_logits), dtype=bool)
+        # One lane row per injection, in batch-lane order: the record's only
+        # per-injection data, from which the fold, the observe tracer and
+        # InjectionTrace all read.
+        rows = [
+            [p, {"layer": layer, "coords": [int(c) for c in coords[p]],
+                 "batch_slot": b, "label": label, "predicted": predicted,
+                 "corrupted": corrupted, "margin_before": before,
+                 "margin_after": after}]
+            for b, (p, layer, label, predicted, corrupted, before, after)
+            in enumerate(zip(positions, layers[positions].tolist(),
+                             labels.tolist(), logits.argmax(axis=1).tolist(),
+                             flags.tolist(),
+                             margin(clean_logits, labels).tolist(),
+                             margin(logits, labels).tolist()))
+        ]
         if observer is not None:
             with prof.span("campaign.observe", cat="campaign",
                            phase="record", layer=layer_idx):
                 observer.record_chunk(
-                    positions=positions,
-                    layer_idx=layer_idx,
-                    layers=[int(layers[p]) for p in positions],
-                    pool_indices=[int(i) for i in idx],
-                    coords=[coords[p] for p in positions],
-                    seeds=[int(seeds[p]) for p in positions],
-                    labels=labels,
-                    clean_predicted=self.pool_logits[idx].argmax(axis=1),
+                    rows=rows,
+                    pool_indices=idx.tolist(),
+                    seeds=seeds[positions].tolist(),
+                    clean_predicted=clean_logits.argmax(axis=1),
                     logits=logits,
-                    flags=flags,
                     resumed=resumed,
                     latency_s=chunk_elapsed,
                 )
         record = {
             "layer": layer_idx,
-            "positions": [int(p) for p in positions],
             "injections": len(positions),
-            "corruptions": corruptions,
-            "tallies": tallies,
+            "corruptions": int(flags.sum()),
+            "trace_events": rows,
             "perf": {
                 "forwards": 1,
                 "forwards_saved": len(positions) - 1,
@@ -495,22 +501,6 @@ class InjectionCampaign:
                 **engine,
             },
         }
-        if run.record_events:
-            margins_before = margin(self.pool_logits[idx], labels)
-            margins_after = margin(logits, labels)
-            record["trace_events"] = [
-                [int(p), dict(
-                    layer=int(layers[p]),
-                    coords=[int(c) for c in coords[p]],
-                    batch_slot=b,
-                    label=int(labels[b]),
-                    predicted=int(logits[b].argmax()),
-                    corrupted=bool(flags[b]),
-                    margin_before=float(margins_before[b]),
-                    margin_after=float(margins_after[b]),
-                )]
-                for b, p in enumerate(positions)
-            ]
         return record, chunk_elapsed
 
     def _engine_counts(self):
@@ -577,8 +567,10 @@ class InjectionCampaign:
 
         Pass an :class:`~repro.campaign.trace.InjectionTrace` as ``trace``
         to record one :class:`InjectionEvent` per injection (layer, coords,
-        outcome, decision-margin erosion); events are emitted in plan
-        order, not execution order.
+        outcome, decision-margin erosion).  The events are the chunk
+        records' lane rows, buffered by plan position only while a trace
+        is attached and recorded in plan order, not execution order, when
+        the run ends.
 
         Pass ``observe=`` to trace fault propagation through the network:
         a :class:`~repro.observe.PropagationTracer`, a JSONL log path, or
@@ -700,11 +692,8 @@ class InjectionCampaign:
             if journal is not None:
                 journal_log, completed = recovery_mod.open_journal(
                     journal, self, n_injections, plan, len(chunks))
-            # A journal always captures trace events: the run that resumes
-            # it may ask for a trace even if this (interrupted) one did not.
             run = _CampaignRun(self, n_injections, plan, chunks, journal_log,
-                               tracer,
-                               record_events=trace is not None or journal is not None)
+                               tracer, traced=trace is not None)
             if tracer is not None:
                 tracer.begin(self, n_injections)
             try:
@@ -733,8 +722,8 @@ class InjectionCampaign:
             self.perf.injections += run.completed_injections
             self.perf.elapsed_seconds += wall
             if trace is not None:
-                for p in sorted(run.trace_events):
-                    trace.record(**run.trace_events[p])
+                for p in sorted(run.trace_rows):
+                    trace.record(**run.trace_rows[p])
             if run.quarantined:
                 bus.dump_flight("quarantine", out_dir=flight_dir)
             result = CampaignResult(
@@ -790,20 +779,20 @@ class _CampaignRun:
     """
 
     def __init__(self, campaign, n_injections, plan, chunks, journal, tracer,
-                 record_events):
+                 traced):
         self.campaign = campaign
         self.n_injections = n_injections
         self.plan = plan
         self.chunks = chunks
         self.journal = journal
         self.tracer = tracer
-        self.record_events = record_events
         self.meter = ProgressMeter(n_injections)
         self.per_layer_inj = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.corrupted_total = 0
         self.completed_injections = 0
-        self.trace_events = {}
+        # Plan position -> InjectionTrace event; held only for a traced run.
+        self.trace_rows = {} if traced else None
         self.done = set()
         self.quarantined = {}  # chunk id -> failure report (fleet runs)
 
@@ -816,11 +805,12 @@ class _CampaignRun:
         chunk's wall time; ``rows`` are the ``(source, kind, data,
         worker)`` rows a worker's private bus collected while running it.
 
-        The record is journaled durably first; then its tallies, perf
-        delta (into ``campaign.perf``, whatever the origin), and trace
-        events (by plan position) fold in, the worker's rows republish
-        verbatim on the run's bus, and one ``campaign/chunk`` envelope
-        reports the chunk with the run's progress.
+        The record is journaled durably first; then its lane rows fold
+        into the per-layer arrays (and, for a traced run, the trace buffer
+        by plan position), its perf delta folds into ``campaign.perf``
+        whatever the origin, the worker's rows republish verbatim on the
+        run's bus, and one ``campaign/chunk`` envelope reports the chunk,
+        its ``[layer, corrupted]`` tallies and the run's progress.
         """
         if cid in self.done or cid in self.quarantined:
             return False  # a retried chunk's duplicate; results identical
@@ -828,8 +818,8 @@ class _CampaignRun:
         if self.journal is not None and origin != "journal":
             self.journal.write_chunk(cid, record)
         self.done.add(cid)
-        recovery_mod.fold_chunk_tallies(record, self.per_layer_inj,
-                                        self.per_layer_cor)
+        tallies = recovery_mod.fold_chunk_tallies(
+            record, self.per_layer_inj, self.per_layer_cor, self.trace_rows)
         self.corrupted_total += record["corruptions"]
         self.completed_injections += record["injections"]
         perf = campaign.perf.add(record["perf"])
@@ -837,7 +827,6 @@ class _CampaignRun:
         # only its own; a record from an older journal may still carry a
         # cache_bytes delta.  Either way the gauge is re-read here.
         campaign._sync_cache_bytes()
-        self.trace_events.update(recovery_mod.chunk_record_events(record))
         bus = campaign.telemetry
         for source, kind, data, wid in rows:
             bus.publish(source, kind, data, worker=wid)
@@ -850,7 +839,7 @@ class _CampaignRun:
             "injections": record["injections"],
             "corruptions": record["corruptions"],
             "resumed": bool(record["perf"].get("resumed_forwards", 0)),
-            "tallies": record.get("tallies"),
+            "tallies": tallies,
             "elapsed_s": elapsed_s,
             "done": self.completed_injections,
             "total": int(self.n_injections),

@@ -117,11 +117,17 @@ class InjectionTrace:
 
 
 def margin(logits, labels):
-    """True-class logit minus best rival logit, per row (the decision margin)."""
+    """True-class logit minus best rival logit, per row (the decision margin).
+
+    A row whose logits overflowed gets an infinite or NaN margin (``inf -
+    inf``); that is the defined result for an injection that broke the
+    forward, so it raises no floating-point warning.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     rows = np.arange(len(labels))
     true = logits[rows, labels]
     masked = logits.copy()
     masked[rows, labels] = -np.inf
-    return true - masked.max(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return true - masked.max(axis=1)

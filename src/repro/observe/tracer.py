@@ -232,19 +232,17 @@ class PropagationTracer:
             self.clean_captures += 1
         self._chunk_clean = clean
 
-    def record_chunk(self, *, positions, layer_idx, pool_indices, coords, seeds,
-                     labels, clean_predicted, logits, flags, resumed, latency_s,
-                     layers=None):
+    def record_chunk(self, *, rows, pool_indices, seeds, clean_predicted, logits,
+                     resumed, latency_s):
         """Fold one executed chunk's activations into per-injection events.
 
         Consumes the activations collected under :meth:`observing` and the
-        clean references from :meth:`prepare_chunk`.  ``layers`` names
-        each lane's own injection layer when a lane-packed chunk mixes
-        layers; it defaults to every lane sitting at ``layer_idx``.
-        Each event is published on the campaign's bus.
+        clean references from :meth:`prepare_chunk`.  ``rows`` are the
+        chunk record's lane rows, ``[plan position, {layer, coords, label,
+        corrupted, ...}]`` in batch-lane order; the other per-lane
+        arguments follow the same order.  Each event is published on the
+        campaign's bus.
         """
-        site_layers = (list(layers) if layers is not None
-                       else [layer_idx] * len(positions))
         perturbed = self._acts
         clean = self._chunk_clean or {}
         per_layer = []
@@ -254,13 +252,15 @@ class PropagationTracer:
                 # Python lists: events index these per injection, and plain
                 # floats beat numpy scalar extraction in that loop.
                 per_layer.append((j, counts.tolist(), l2.tolist(), linf.tolist()))
-        latency = latency_s / len(positions) if positions else 0.0
+        latency = latency_s / len(rows) if rows else 0.0
         # Classify the whole chunk vectorised; the per-event loop just indexes.
+        # The rows' ``predicted`` is a plain argmax; an event's treats NaN as
+        # the lowest logit.
         logits = np.asarray(logits)
         finite = np.isfinite(logits).all(axis=1)
         argmax = np.nan_to_num(logits, nan=-np.inf).argmax(axis=1)
         bus = self._campaign.telemetry
-        for b, p in enumerate(positions):
+        for b, (p, row) in enumerate(rows):
             divergence = [
                 LayerDivergence(j, counts[b], _finite(l2[b]), _finite(linf[b]))
                 for j, counts, l2, linf in per_layer
@@ -274,14 +274,14 @@ class PropagationTracer:
                 outcome = OUTCOME_MASKED
             event = build_event(
                 index=p,
-                layer=site_layers[b],
-                coords=coords[b],
+                layer=row["layer"],
+                coords=row["coords"],
                 pool_index=pool_indices[b],
                 seed=seeds[b],
-                label=labels[b],
+                label=row["label"],
                 clean_predicted=clean_predicted[b],
                 logits_row=logits[b],
-                corrupted=flags[b],
+                corrupted=row["corrupted"],
                 divergence=divergence,
                 num_layers=self._num_layers,
                 resumed=resumed,

@@ -253,11 +253,22 @@ class TestLaneJournal:
         campaign, result = self._run(True, journal=path)
         _, chunks, _ = load_journal(path)
         folded = np.zeros(campaign.fi.num_layers, dtype=np.int64)
+        folded_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
+        positions = []
         for record in chunks.values():
-            assert len(record["tallies"]) == len(record["positions"])
-            for layer, corrupted in record["tallies"]:
-                folded[layer] += 1
+            # Lane rows are the record's only per-injection data.
+            assert "tallies" not in record and "positions" not in record
+            rows = record["trace_events"]
+            assert len(rows) == record["injections"]
+            assert [row["batch_slot"] for _, row in rows] == list(range(len(rows)))
+            assert sum(row["corrupted"] for _, row in rows) == record["corruptions"]
+            for position, row in rows:
+                positions.append(position)
+                folded[row["layer"]] += 1
+                folded_cor[row["layer"]] += row["corrupted"]
+        assert sorted(positions) == list(range(24))
         assert folded.tolist() == result.per_layer_injections.tolist()
+        assert folded_cor.tolist() == result.per_layer_corruptions.tolist()
 
     def test_packing_mode_is_part_of_the_fingerprint(self, tmp_path):
         """A packed journal cannot silently resume an unpacked run (and

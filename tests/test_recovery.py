@@ -269,6 +269,80 @@ class TestSerialJournal:
         assert f1 != f3
 
 
+def _rewrite_in_older_shape(path):
+    """Rewrite a journal's chunk records as older builds wrote them.
+
+    Those records repeated each lane row twice more: per-lane ``[layer,
+    corrupted]`` ``tallies`` and the chunk's plan ``positions``, beside the
+    same ``v: 1`` header.  Checksums are recomputed so the records load.
+    """
+    from repro.campaign.recovery import _checksum
+
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if record["type"] == "journal_start":
+            assert record["v"] == 1
+        if record["type"] == "chunk_done":
+            rows = record["trace_events"]
+            record["positions"] = [p for p, _ in rows]
+            record["tallies"] = [[row["layer"], int(row["corrupted"])]
+                                 for _, row in rows]
+            record["crc"] = _checksum(record)
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestOlderRecordShape:
+    """A journal whose chunk records carry ``tallies`` and ``positions`` too
+    resumes bitwise: the fold reads only the lane rows."""
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_killed_run_resumes_bitwise(self, trained_tiny_model, tmp_path,
+                                        monkeypatch, workers):
+        from repro.campaign.runner import _CampaignRun
+
+        model, dataset, _ = trained_tiny_model
+        n = 40
+        base = _campaign(model, dataset)
+        base_trace = InjectionTrace()
+        base_result = base.run(n, trace=base_trace)
+
+        plan_of = _campaign(model, dataset)
+        n_chunks = len(plan_of._chunks(plan_of._plan(n)[1], n))
+        path = tmp_path / "j.jsonl"
+        fold = _CampaignRun.fold
+
+        def killed_after_three(self, cid, record, *args, **kwargs):
+            folded = fold(self, cid, record, *args, **kwargs)
+            if folded and len(self.done) == 3:
+                raise KeyboardInterrupt
+            return folded
+
+        monkeypatch.setattr(_CampaignRun, "fold", killed_after_three)
+        with pytest.raises(CampaignInterrupted):
+            _campaign(model, dataset).run(n, journal=path, workers=workers)
+        monkeypatch.setattr(_CampaignRun, "fold", fold)
+        _rewrite_in_older_shape(path)
+        _, chunks, complete = load_journal(path)
+        # A fleet drains its in-flight chunks into the journal on interrupt.
+        killed_at = len(chunks)
+        assert 3 <= killed_at < n_chunks and not complete
+        assert all("tallies" in r and "positions" in r for r in chunks.values())
+
+        resumed = _campaign(model, dataset)
+        trace = InjectionTrace()
+        result = resumed.run(n, journal=path, trace=trace, workers=workers)
+        _assert_matches_serial(result, resumed, base_result, base,
+                               trace, base_trace)
+        _, chunks, complete = load_journal(path)
+        assert complete
+        # Records appended by the resumed run carry the lane rows only.
+        assert len(chunks) == n_chunks
+        assert (sum("tallies" not in r for r in chunks.values())
+                == n_chunks - killed_at)
+
+
 class TestInterruptedPerf:
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
     def test_interrupted_run_counts_its_completed_injections(
