@@ -509,10 +509,11 @@ class ParallelCampaignExecutor:
         self.chunk_retries += 1
         if self.attempts[cid] >= self.policy.max_chunk_attempts:
             self.chunk_retries -= 1  # the terminal attempt is not retried
+            positions = run.chunks[cid]
             run.quarantined[cid] = {
-                "layer": None,
-                "positions": None,
-                "injections": len(run.chunks[cid]),
+                "layers": sorted({int(run.plan[1][p]) for p in positions}),
+                "positions": list(positions),
+                "injections": len(positions),
                 "error": detail,
             }
             self.campaign.telemetry.publish("recovery", "chunk_quarantined", {

@@ -32,6 +32,7 @@ Design notes (paper §III-A):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,11 +64,11 @@ class LayerInfo:
 
     @property
     def neurons_per_example(self):
-        return int(np.prod(self.neuron_shape))
+        return math.prod(self.neuron_shape)
 
     @property
     def weights(self):
-        return int(np.prod(self.weight_shape)) if self.weight_shape else 0
+        return math.prod(self.weight_shape) if self.weight_shape else 0
 
 
 @dataclass

@@ -82,14 +82,16 @@ def _restrict_channels(sizes, shapes, channels):
     return new_sizes, new_shapes, channels
 
 
-def _batched_locations(gen, layer_pool, sizes, shapes, n, layer, strategy,
-                       layers=None, channels=None):
-    """Shared batched sampler over a pool of layers.
+def _batched_sites(gen, layer_pool, sizes, shapes, n, layer, strategy,
+                   layers=None, channels=None):
+    """Shared batched sampler over a pool of layers, in array form.
 
     ``layer_pool`` lists the eligible layer indices, ``sizes[i]`` the number
     of sampleable elements in pool entry ``i`` and ``shapes[i]`` its
     geometry.  Draws every random number through a handful of vectorised
-    generator calls instead of a Python loop per site.
+    generator calls instead of a Python loop per site.  Returns
+    ``(layers, flat)``: int64 arrays of each site's layer index and its
+    C-order flat index into that layer's ``shapes`` entry.
 
     ``layers`` optionally restricts sampling to a subset of the pool and
     ``channels`` to a subset of each layer's dim-0 (the scenario engine's
@@ -97,7 +99,7 @@ def _batched_locations(gen, layer_pool, sizes, shapes, n, layer, strategy,
     behaviour with an identical generator stream.
     """
     layer_pool, sizes, shapes = _restrict_pool(layer_pool, sizes, shapes, layers)
-    sizes, shapes, channel_map = _restrict_channels(sizes, shapes, channels)
+    sizes, _, channel_map = _restrict_channels(sizes, shapes, channels)
     sizes = np.asarray(sizes, dtype=np.int64)
     if layer is not None:
         pos = {idx: i for i, idx in enumerate(layer_pool)}
@@ -115,19 +117,44 @@ def _batched_locations(gen, layer_pool, sizes, shapes, n, layer, strategy,
     else:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
 
-    layers = np.asarray([layer_pool[p] for p in picks], dtype=np.int64)
-    coords = [None] * n
-    for p in np.unique(picks):
+    flat = np.empty(n, dtype=np.int64)
+    for p in np.unique(picks).tolist():
         slots = np.nonzero(picks == p)[0]
-        shape = shapes[int(p)]
-        flat_idx = gen.integers(0, int(sizes[p]), size=len(slots))
-        unravelled = list(np.unravel_index(flat_idx, shape))
+        drawn = gen.integers(0, int(sizes[p]), size=len(slots))
         if channel_map is not None:
-            unravelled[0] = np.asarray(channel_map)[unravelled[0]]
+            # Map the restricted dim-0 index back to its real channel.
+            inner = int(sizes[p]) // len(channel_map)
+            drawn = np.asarray(channel_map)[drawn // inner] * inner + drawn % inner
+        flat[slots] = drawn
+    return np.asarray(layer_pool, dtype=np.int64)[picks], flat
+
+
+def _batched_locations(gen, layer_pool, sizes, shapes, n, layer, strategy,
+                       layers=None, channels=None):
+    """:func:`_batched_sites` with each site as a coordinate tuple.
+
+    Returns ``(layers, coords)``: the int64 layer array and a list of
+    per-site coordinate tuples of Python ints.
+    """
+    site_layers, flat = _batched_sites(gen, layer_pool, sizes, shapes, n, layer,
+                                       strategy, layers=layers, channels=channels)
+    shape_of = dict(zip(layer_pool, shapes))
+    coords = [None] * n
+    for idx in np.unique(site_layers).tolist():
+        slots = np.nonzero(site_layers == idx)[0]
+        unravelled = np.unravel_index(flat[slots], shape_of[idx])
         for slot, coord in zip(slots.tolist(),
                                zip(*(axis.tolist() for axis in unravelled))):
             coords[slot] = coord
-    return layers, coords
+    return site_layers, coords
+
+
+def _weight_pool(fi):
+    """``(layer_pool, sizes, shapes)`` of ``fi``'s layers that have weights."""
+    candidates = [info for info in fi.layers if info.weight_shape]
+    return ([info.index for info in candidates],
+            [info.weights for info in candidates],
+            [info.weight_shape for info in candidates])
 
 
 def random_neuron_locations(fi, n, layer=None, rng=None, strategy="proportional",
@@ -178,17 +205,11 @@ def random_weight_locations(fi, n, layer=None, rng=None, strategy="proportional"
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = _rng.coerce_generator(rng if rng is not None else fi.rng)
-    candidates = [info for info in fi.layers if info.weight_shape]
-    if not candidates:
+    layer_pool, sizes, shapes = _weight_pool(fi)
+    if not layer_pool:
         raise ValueError("no instrumentable layer has weights")
-    return _batched_locations(
-        gen,
-        layer_pool=[info.index for info in candidates],
-        sizes=[info.weights for info in candidates],
-        shapes=[info.weight_shape for info in candidates],
-        n=int(n), layer=layer, strategy=strategy,
-        layers=layers, channels=channels,
-    )
+    return _batched_locations(gen, layer_pool, sizes, shapes, n=int(n), layer=layer,
+                              strategy=strategy, layers=layers, channels=channels)
 
 
 def random_weight_location(fi, layer=None, rng=None, strategy="proportional"):

@@ -23,11 +23,12 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core import bitflip
-from ..core.injectors import _restrict_channels, _restrict_pool, random_weight_locations
+from ..core.injectors import _batched_sites, _restrict_channels, _restrict_pool, _weight_pool
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,21 @@ class ResidentWeightFault:
         }
 
 
+class _LayerFaults(NamedTuple):
+    """One layer's faults as arrays, in set order.
+
+    ``pos`` holds each fault's position in the set, ``coords`` its
+    coordinates as one row per weight axis (shape ``(rank, n)``), ``bits``
+    and ``stuck`` its bit index and stuck value.
+    """
+
+    layer: int
+    pos: np.ndarray
+    coords: np.ndarray
+    bits: np.ndarray
+    stuck: np.ndarray
+
+
 class ResidentFaultSet:
     """A set of stuck-at weight faults applied for the duration of a run.
 
@@ -73,6 +89,10 @@ class ResidentFaultSet:
         each faulted weight is quantized, its bit forced, and the result
         dequantized back — the stuck-at model on INT8 weight memories.
 
+    The set stores its faults as per-layer arrays (:class:`_LayerFaults`),
+    which :meth:`apply`, :meth:`restore`, ``len()`` and :attr:`fingerprint`
+    read directly; :attr:`faults` builds the fault objects only when asked.
+
     Lifecycle: :meth:`apply` snapshots the originals and writes the
     faulted values; :meth:`restore` writes the originals back and verifies
     the affected arrays byte-for-byte against pre-apply checksums.  The
@@ -82,33 +102,78 @@ class ResidentFaultSet:
     """
 
     def __init__(self, faults, quantization=None):
-        self.faults = tuple(faults)
-        if len({(f.layer, f.coords) for f in self.faults}) != len(self.faults):
+        faults = tuple(faults)
+        if len({(f.layer, f.coords) for f in faults}) != len(faults):
             raise ValueError("resident fault set targets the same weight twice")
+        # One part per (layer, coordinate rank): a rank that does not match
+        # the layer's weights is kept so that apply can name it.
+        parts = {}
+        for pos, fault in enumerate(faults):
+            parts.setdefault((int(fault.layer), len(fault.coords)), []).append(pos)
+        layers = []
+        for (layer, rank), positions in sorted(parts.items()):
+            chosen = [faults[pos] for pos in positions]
+            coords = np.array([f.coords for f in chosen], dtype=np.int64)
+            layers.append(_LayerFaults(
+                layer, np.array(positions, dtype=np.int64),
+                np.ascontiguousarray(coords.reshape(len(chosen), rank).T),
+                np.array([f.bit for f in chosen], dtype=np.int64),
+                np.array([f.stuck for f in chosen], dtype=np.int8)))
+        self._layers = layers
         self.quantization = list(quantization) if quantization is not None else None
         self._applied = None
 
+    @classmethod
+    def _from_arrays(cls, layers, quantization):
+        """A set over already distinct sites, given as :class:`_LayerFaults`
+        in layer order; skips the duplicate check."""
+        fault_set = cls((), quantization)
+        fault_set._layers = layers
+        return fault_set
+
     def __len__(self):
-        return len(self.faults)
+        return sum(len(part.pos) for part in self._layers)
 
     def __repr__(self):
         domain = "int8" if self.quantization is not None else "float32"
-        return f"ResidentFaultSet({len(self.faults)} faults, domain={domain})"
+        return f"ResidentFaultSet({len(self)} faults, domain={domain})"
+
+    @functools.cached_property
+    def faults(self):
+        """The faults as a tuple of :class:`ResidentWeightFault`, in set order.
+
+        Built on first access and memoized; nothing in a run needs it.
+        """
+        faults = [None] * len(self)
+        for part in self._layers:
+            for pos, coords, bit, stuck in zip(part.pos.tolist(),
+                                               part.coords.T.tolist(),
+                                               part.bits.tolist(),
+                                               part.stuck.tolist()):
+                faults[pos] = ResidentWeightFault(part.layer, tuple(coords), bit, stuck)
+        return tuple(faults)
 
     @functools.cached_property
     def fingerprint(self):
         """Stable digest of the fault set (journal/cache identity).
 
-        Computed on first access, not at construction, and memoized: the
-        faults are an immutable tuple, and the sorted ``repr`` pass costs
-        tens of milliseconds at K in the tens of thousands, which scenario
-        compilation should not pay and each run's cache-key check need
-        not pay again.
+        Hashes ``repr((layer, coords, bit, stuck))`` of every fault in
+        ``(layer, coords)`` order, then the quantization params.  Each
+        layer's coordinates are sorted with one ``lexsort``, which orders
+        them as tuples would be.  Computed on first access, not at
+        construction, and memoized.
         """
         h = hashlib.sha256()
-        for fault in sorted(self.faults, key=lambda f: (f.layer, f.coords)):
-            h.update(repr((fault.layer, tuple(fault.coords), fault.bit,
-                           fault.stuck)).encode())
+        # A layer whose faults mix coordinate ranks (which no engine can
+        # apply) hashes its ranks in ascending order.
+        for part in self._layers:
+            rank, n = part.coords.shape
+            order = np.lexsort(part.coords[::-1]) if rank else np.arange(n)
+            row = ("(%d, (" + ", ".join(["%d"] * rank) + ("," if rank == 1 else "")
+                   + "), %d, %d)")
+            table = np.vstack([np.full(n, part.layer), part.coords[:, order],
+                               part.bits[order], part.stuck[order]])
+            h.update(((row * n) % tuple(table.T.ravel().tolist())).encode())
         if self.quantization is not None:
             for params in self.quantization:
                 h.update(repr((float(params.scale), int(params.bits))).encode())
@@ -122,44 +187,33 @@ class ResidentFaultSet:
             return None
         return self.quantization[layer]
 
-    def _by_layer(self, fi):
-        """Group the faults by layer and validate them against ``fi``.
+    def _validate(self, fi):
+        """Bounds-check every fault against ``fi``'s weight shapes.
 
-        Returns ``[(layer, index, bits, stuck), ...]`` in layer order:
-        ``index`` is a tuple of per-axis coordinate arrays (one fancy index
-        for all of the layer's faults), ``bits`` and ``stuck`` per-fault
-        arrays in the same order.  Every coordinate is bounds-checked
-        before anything is returned; of several bad faults, the first in
-        set order names the :class:`ValueError`.
+        Of several bad faults, the first in set order names the
+        :class:`ValueError`.
         """
-        positions = {}
-        for pos, fault in enumerate(self.faults):
-            positions.setdefault(fault.layer, []).append(pos)
-        groups, errors = [], []
-        for layer in sorted(positions):
-            faults = [self.faults[pos] for pos in positions[layer]]
-            info = fi.layer(layer)
+        errors = []
+        for part in self._layers:
+            info = fi.layer(part.layer)
             if info.weight_shape is None:
-                errors.append((positions[layer][0],
-                               f"layer {layer} ({info.name}) has no weights"))
+                errors.append((int(part.pos[0]),
+                               f"layer {part.layer} ({info.name}) has no weights"))
                 continue
-            rank = len(info.weight_shape)
-            # A coordinate of the wrong rank becomes all -1: out of bounds.
-            grid = np.array([f.coords if len(f.coords) == rank else (-1,) * rank
-                             for f in faults], dtype=np.int64).reshape(-1, rank)
-            valid = ((grid >= 0) & (grid < info.weight_shape)).all(axis=1)
-            if not valid.all():
+            if len(part.coords) != len(info.weight_shape):
+                bad = 0
+            else:
+                bound = np.array(info.weight_shape, dtype=np.int64)[:, None]
+                valid = ((part.coords >= 0) & (part.coords < bound)).all(axis=0)
+                if valid.all():
+                    continue
                 bad = int(np.argmin(valid))
-                errors.append((positions[layer][bad],
-                               f"weight coords {faults[bad].coords} invalid for "
-                               f"layer {layer} ({info.name}, shape "
-                               f"{info.weight_shape})"))
-                continue
-            groups.append((layer, tuple(grid.T), np.array([f.bit for f in faults]),
-                           np.array([f.stuck for f in faults], dtype=bool)))
+            errors.append((int(part.pos[bad]),
+                           f"weight coords {tuple(part.coords[:, bad].tolist())} "
+                           f"invalid for layer {part.layer} ({info.name}, shape "
+                           f"{info.weight_shape})"))
         if errors:
             raise ValueError(min(errors)[1])
-        return groups
 
     def _faulted_values(self, layer, originals, bits, stuck):
         """The stuck-at values of one layer's faulted elements, vectorised."""
@@ -182,13 +236,17 @@ class ResidentFaultSet:
         """
         if self._applied is not None:
             raise RuntimeError("resident fault set is already applied")
+        self._validate(fi)
         modules = [m for _, m in fi._iter_instrumentable(fi.model)]
         applied, faulted = [], []
-        for layer, index, bits, stuck in self._by_layer(fi):
-            weight = modules[layer].weight
+        for part in self._layers:
+            weight = modules[part.layer].weight
+            index = tuple(part.coords)
             originals = weight.data[index]
-            faulted.append(self._faulted_values(layer, originals, bits, stuck))
-            applied.append((layer, weight, index, originals, _digest(weight.data)))
+            faulted.append(self._faulted_values(part.layer, originals, part.bits,
+                                                part.stuck))
+            applied.append((part.layer, weight, index, originals,
+                            _digest(weight.data)))
         # Nothing is written until every layer's values exist, so a bit past
         # the storage width raises with the weights still clean.
         for (_, weight, index, _, _), values in zip(applied, faulted):
@@ -220,56 +278,79 @@ def sample_resident_faults(fi, k, rng, bit=None, stuck=1, layers=None,
                            channels=None, quantization=None, bits=None):
     """Sample ``k`` distinct stuck-at weight faults; returns a fault set.
 
-    Sites are drawn with :func:`~repro.core.random_weight_locations`
+    Sites are drawn like :func:`~repro.core.random_weight_locations`
     (proportional over all eligible weight elements, honouring the
     ``layers``/``channels`` selector subsets), de-duplicated, and re-drawn
     until ``k`` distinct sites exist.  ``bit=None`` draws a uniform bit
     index per fault over the storage width — ``bits`` (default: the
-    quantization bit width, else 32 for float32 weights).  All randomness
-    comes from ``rng``, so a seeded generator makes the set deterministic.
+    quantization bit width, else 32 for float32 weights), which may not
+    exceed that width.  All randomness comes from ``rng``, so a seeded
+    generator makes the set deterministic.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if stuck not in (0, 1):
+        raise ValueError(f"stuck must be 0 or 1, got {stuck!r}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    width = quantization[0].bits if quantization else 32
     if bits is None:
-        bits = quantization[0].bits if quantization else 32
+        bits = width
+    if bits > width:
+        raise ValueError(f"bits {bits} exceeds the storage width of {width} bits")
     if bit is not None and not 0 <= bit < bits:
         raise ValueError(f"bit {bit} out of range [0, {bits})")
+    pool, sizes, shapes = _weight_pool(fi)
     if k > 0:
         # Check capacity before any draw: past it, the re-draw loop below
         # stops only at its stagnation guard, minutes later on a big model.
-        eligible = [info for info in fi.layers if info.weight_shape]
-        _, sizes, shapes = _restrict_pool(
-            [info.index for info in eligible], [info.weights for info in eligible],
-            [info.weight_shape for info in eligible], layers)
-        capacity = sum(_restrict_channels(sizes, shapes, channels)[0])
+        _, restricted, restricted_shapes = _restrict_pool(pool, sizes, shapes, layers)
+        capacity = sum(_restrict_channels(restricted, restricted_shapes, channels)[0])
         if k > capacity:
             raise ValueError(
                 f"cannot sample {k} distinct weight sites under the "
                 f"selector (only {capacity} eligible); reduce the fault "
                 f"count or widen the selection")
-    # A dict is the ordered set of distinct sites: a re-drawn site keeps
-    # its first position, new ones append in draw order.
-    sites = {}
+    # A site's key is its offset in the concatenated weight space.
+    base = np.zeros(max(pool, default=0) + 1, dtype=np.int64)
+    base[pool] = np.cumsum(sizes) - sizes
+    site_layers, flat = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    seen = np.empty(0, dtype=np.int64)  # sorted keys of the sites so far
     stagnant = 0
-    while len(sites) < k:
-        want = k - len(sites)
-        layer_idx, coords = random_weight_locations(
-            fi, want, rng=rng, layers=layers, channels=channels)
-        before = len(sites)
-        sites.update(dict.fromkeys(zip(layer_idx.tolist(), coords)))
+    while len(flat) < k:
+        drawn_layers, drawn_flat = _batched_sites(
+            rng, pool, sizes, shapes, k - len(flat), None, "proportional",
+            layers=layers, channels=channels)
+        keys = base[drawn_layers] + drawn_flat
+        # A re-drawn site keeps its first position; new ones append in
+        # draw order.
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        if len(seen):
+            at = np.minimum(np.searchsorted(seen, ordered), len(seen) - 1)
+            fresh &= seen[at] != ordered
+        new = np.sort(order[fresh])
+        site_layers = np.concatenate([site_layers, drawn_layers[new]])
+        flat = np.concatenate([flat, drawn_flat[new]])
+        seen = np.sort(np.concatenate([seen, ordered[fresh]]))
         # Re-draws replace collisions; many consecutive all-collision
         # rounds means k approaches (or exceeds) the number of distinct
         # eligible sites, which deserves an error rather than a hang.
-        stagnant = stagnant + 1 if len(sites) == before else 0
+        stagnant = 0 if len(new) else stagnant + 1
         if stagnant >= 100:
             raise ValueError(
                 f"cannot sample {k} distinct weight sites under the "
-                f"selector (found {len(sites)}); reduce the fault count "
+                f"selector (found {len(flat)}); reduce the fault count "
                 f"or widen the selection")
     # One draw per site, in site order: the same stream as a scalar draw each.
-    chosen = (rng.integers(0, bits, size=len(sites)).tolist() if bit is None
-              else [int(bit)] * len(sites))
-    faults = [ResidentWeightFault(layer, coord, b, stuck)
-              for (layer, coord), b in zip(sites, chosen)]
-    return ResidentFaultSet(faults, quantization=quantization)
+    chosen = (rng.integers(0, bits, size=len(flat)) if bit is None
+              else np.full(len(flat), bit, dtype=np.int64))
+    shape_of = dict(zip(pool, shapes))
+    parts = []
+    for layer in np.unique(site_layers).tolist():
+        pos = np.nonzero(site_layers == layer)[0]
+        coords = np.array(np.unravel_index(flat[pos], shape_of[layer]), dtype=np.int64)
+        parts.append(_LayerFaults(layer, pos, coords, chosen[pos],
+                                  np.full(len(pos), stuck, dtype=np.int8)))
+    return ResidentFaultSet._from_arrays(parts, quantization=quantization)

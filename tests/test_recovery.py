@@ -456,7 +456,9 @@ class TestParallelChaos:
         n = 48
         campaign = _campaign(model, dataset)
         probe = _campaign(model, dataset)
-        bad = set(probe._chunks(probe._plan(n)[1], n)[0])
+        plan_layers = probe._plan(n)[1]
+        poisoned_chunk = probe._chunks(plan_layers, n)[0]
+        bad = set(poisoned_chunk)
         orig = type(campaign)._execute_chunk
         parent = os.getpid()
 
@@ -474,6 +476,9 @@ class TestParallelChaos:
         assert info["retries"] == 2
         assert info["quarantined"][0]["error"].splitlines()[-1].endswith(
             "poisoned chunk")
+        assert info["quarantined"][0]["positions"] == poisoned_chunk
+        assert info["quarantined"][0]["layers"] == sorted(
+            {int(plan_layers[p]) for p in bad})
         assert result.injections == n - len(bad)
         assert campaign.perf.chunks_quarantined == 1
         # The healthy remainder still matches the serial per-layer tallies.

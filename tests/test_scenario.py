@@ -387,6 +387,106 @@ class TestSampling:
         assert resident.quantization is None
         assert all(0 <= f.bit < 32 for f in resident.faults)
 
+    @pytest.mark.parametrize("domain, bits", [("int8", 9), ("float32", 33)])
+    def test_bits_past_storage_width_rejected_before_any_draw(self, domain, bits):
+        fi = self._fi()
+        quantization = weight_params(fi) if domain == "int8" else None
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="exceeds the storage width"):
+            sample_resident_faults(fi, 5, rng, quantization=quantization, bits=bits)
+        assert rng.bit_generator.state == state
+
+
+class TestLargeResidentSets:
+    def test_pinned_large_k_stream(self, monkeypatch):
+        """Fingerprints, set order and generator end states of an INT8
+        accumulated sweep with K in the thousands under a layer and a channel
+        selector (8,680 eligible cells, so K=6000 re-draws many rounds).
+        The literals were computed with the per-fault sampler."""
+        from repro.scenario import compile as compile_mod
+
+        generators = []
+        real = compile_mod.sample_resident_faults
+
+        def recording(fi, k, rng, **kwargs):
+            generators.append(rng)
+            return real(fi, k, rng, **kwargs)
+
+        monkeypatch.setattr(compile_mod, "sample_resident_faults", recording)
+        compiled = compile_scenario(load_scenario(scenario(
+            "accumulated", seed=21, fault={"quantize": True},
+            select={"layers": [5, 6, 8, 12, 13, 19],
+                    "channels": [0, 1, 2, 3, 5, 8, 13]},
+            accumulated={"counts": [0, 1500, 6000], "stuck": 0, "evaluations": 8})))
+        want = [
+            (0, "6dc277b2492c056be9d92f8da2ccb0f098196f2b3fa89246e7332cb221bbbd4a",
+             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+             2965446352358091964),
+            (1500, "a0cd6af2415fd8360519f93b41014a8e33797757585d2f511d9930357dfe44ee",
+             "a8d9ea81eb19a3bc8ec476865e09fe417a773c2660c00be7710fd486c64f0b57",
+             2387266009114773059),
+            (6000, "23b2fd2814f0a2d9b07cbbb36705be6cde90303b5d434a7c44fae8be8a1196e3",
+             "6c30f49d0c493f4c3074df3a31acf2ec59394ed4532ff9e8a54d7c612ce68b6f",
+             2101565914859427016),
+        ]
+        got = []
+        for point, rng in zip(compiled.points, generators, strict=True):
+            resident = point.resident
+            in_order = hashlib.sha256(json.dumps(resident.describe()).encode())
+            got.append((len(resident), resident.fingerprint, in_order.hexdigest(),
+                        int(rng.integers(0, 2**62))))
+        assert got == want
+
+    def test_run_builds_no_fault_objects(self, monkeypatch):
+        from repro.scenario import resident as resident_mod
+
+        calls = []
+        real = resident_mod.ResidentWeightFault.__post_init__
+
+        def counting_post_init(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(resident_mod.ResidentWeightFault, "__post_init__",
+                            counting_post_init)
+        config = scenario("accumulated", seed=3, fault={"quantize": True},
+                          accumulated={"counts": [0, 40, 300], "evaluations": 4})
+        compiled = compile_scenario(load_scenario(config))
+        fi = compiled.campaign.fi
+        for point in compiled.points:
+            resident = point.resident
+            assert len(resident) == point.meta["k"]
+            assert resident.fingerprint
+            resident.apply(fi).restore()
+        run_scenario(compiled)
+        assert calls == []
+        # The tuple is built on first access, once.
+        faults = compiled.points[-1].resident.faults
+        assert len(calls) == len(faults) == 300
+        assert compiled.points[-1].resident.faults is faults
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_fault_tuple_round_trips(self, quantize):
+        config = scenario("accumulated", seed=4, fault={"quantize": quantize},
+                          select={"layers": [1, 17, 19], "channels": [0, 2, 7]},
+                          accumulated={"counts": [500]})
+        compiled = compile_scenario(load_scenario(config))
+        fi = compiled.campaign.fi
+        sampled = compiled.points[0].resident
+        rebuilt = ResidentFaultSet(sampled.faults, quantization=sampled.quantization)
+        assert len(rebuilt) == len(sampled) == 500
+        assert rebuilt.fingerprint == sampled.fingerprint
+        assert rebuilt.faults == sampled.faults
+        before = weight_checksums(compiled.campaign)
+        sampled.apply(fi)
+        faulted = weight_checksums(compiled.campaign)
+        sampled.restore()
+        rebuilt.apply(fi)
+        assert weight_checksums(compiled.campaign) == faulted != before
+        rebuilt.restore()
+        assert weight_checksums(compiled.campaign) == before
+
 
 class TestAccumulatedSweep:
     def test_int8_artifact_deterministic_and_schema(self, tmp_path):
