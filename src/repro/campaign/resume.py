@@ -40,6 +40,21 @@ Two pieces live here:
     completed before ``k`` ran, so ``j``'s inputs cannot depend on the
     injected value.
 
+    A chain replay also skips each row's clean *suffix* (early exit).  At
+    every segment boundary past the chunk's deepest site segment (lane
+    hooks address rows by batch slot, so rows may only move once every hook
+    has fired), a row that equals its cached clean boundary row *bitwise*
+    has a clean state from there on (rows are row-stable), so it leaves the
+    batch.  Bits, not float ``==``: -0.0 and NaN payloads count as
+    different.  The classifier head always runs on the whole chunk batch,
+    each exited row fed its cached clean head input: row stability is only
+    guaranteed ahead of the head, and under resident faults the pool's
+    logits are not the resident model's.  Rows whose clean rows were
+    evicted stay in the batch.  Boundaries past the last instrumentable
+    layer are not checked: only glue is left there.  An observer's layer
+    collectors see only the rows still in the batch; the tracer fills in
+    the others from its clean references (see ``rows_through``).
+
 Lane-packed weight campaigns replay the same way: the lane hooks keep the
 weight tensors clean through the forward (per-row faulted outputs splice in
 at hook time), so every cached prefix activation stays valid and the
@@ -144,6 +159,10 @@ class CampaignResumeEngine:
         self.fi = fi
         self.cache = ActivationCheckpointCache(budget_bytes)
         self.capture_forwards = 0
+        # Row x segment forwards the early exit avoided (see ``replay``),
+        # and per row of the last replayed chunk the boundary it left at.
+        self.segment_rows_skipped = 0
+        self._row_exits = None
         # Campaigns swap in their own profiler; spans are bitwise invisible
         # (no RNG draws, no counting cache lookups) so profiled and
         # unprofiled replays are identical.
@@ -163,6 +182,12 @@ class CampaignResumeEngine:
                 self._stub_layers.append(
                     [j for j in range(k + 1) if self._segment_of_layer[j] == s]
                 )
+            # The last boundary at which a row may leave the batch (see
+            # ``replay``): past the last segment short of the head that holds
+            # an instrumentable layer, only glue is left to skip.
+            head = seg.num_segments - 1
+            self._last_exit = max(
+                [s for s in self._segment_of_layer if s < head], default=-1)
         else:
             # Stub mode: replay runs the whole forward, so every layer up
             # to and including the target gets stubbed.
@@ -303,3 +328,72 @@ class CampaignResumeEngine:
             ]
             skipped = layer_idx + 1  # every instrumentable layer <= target is skipped
             return s, boundary, stub_pairs, skipped
+
+    def replay(self, seg_index, boundary, pool_indices, site_layers):
+        """Run a chain chunk from segment ``seg_index`` to its logits.
+
+        ``boundary`` is the chunk batch fed into segment ``seg_index``; row
+        ``r`` is pool element ``pool_indices[r]`` and carries a site at
+        layer ``site_layers[r]``.  At each boundary past the deepest site's
+        segment (lane hooks address rows by batch slot, so the batch keeps
+        its layout until every hook has fired) that still has an
+        instrumentable layer ahead of the head, a row bitwise equal to its
+        cached clean boundary row leaves the batch.  The head runs on the
+        whole chunk batch, exited rows fed their cached clean head input,
+        so the logits are bitwise those of ``segmented.run_from``.  Cache
+        lookups are ``peek``: hit/miss tallies and recency do not move.
+        """
+        segmented = self.segmented
+        head = segmented.num_segments - 1
+        first = max(self._segment_of_layer[j] for j in site_layers) + 1
+        if first > self._last_exit:
+            return segmented.run_from(seg_index, boundary)
+        pool_indices = [int(i) for i in pool_indices]
+        head_rows = [self.cache.peek(("seg", head, i)) for i in pool_indices]
+        live = np.arange(len(pool_indices))  # chunk rows still in the batch
+        self._row_exits = np.full(len(pool_indices), head)
+        x = boundary
+        for t in range(seg_index, head):
+            if first <= t <= self._last_exit:
+                clean = self._clean_rows(x.data, t, [
+                    pool_indices[r] if head_rows[r] is not None else None
+                    for r in live])
+                if clean.any():
+                    self.segment_rows_skipped += int(clean.sum()) * (head - t)
+                    self._row_exits[live[clean]] = t
+                    live = live[~clean]
+                    if not len(live):
+                        break
+                    x = Tensor(x.data[~clean])
+            x = segmented.run_from(t, x, stop=t + 1)
+        if len(live) < len(pool_indices):
+            rows = list(head_rows)
+            for r, row in zip(live, x.data):
+                rows[r] = row
+            x = Tensor(np.stack(rows))
+        return segmented.run_from(head, x)
+
+    def rows_through(self, layer):
+        """Mask of the last replayed chunk's rows that ran instrumentable
+        layer ``layer``; the others had left the batch, clean, before it.
+        Only meaningful after a replay in which some row left."""
+        return self._row_exits > self._segment_of_layer[layer]
+
+    def _clean_rows(self, data, t, pool_indices):
+        """Which rows of ``data``, boundary ``t`` of pool elements
+        ``pool_indices``, equal their cached clean row bit for bit.  A row
+        whose pool index is None or whose clean row is not cached is not
+        clean."""
+        refs = [self.cache.peek(("seg", t, i)) if i is not None else None
+                for i in pool_indices]
+        clean = np.zeros(len(refs), dtype=bool)
+        have = [r for r, ref in enumerate(refs) if ref is not None]
+        if have:
+            # Compare bit patterns, not floats: -0.0 != 0.0 and NaN payloads
+            # must count as different.
+            bits = f"u{data.itemsize}" if data.itemsize in (1, 2, 4, 8) else "u1"
+            got = data if len(have) == len(refs) else data[have]
+            want = np.stack([refs[r] for r in have])
+            clean[have] = (got.reshape(len(have), -1).view(bits)
+                           == want.reshape(len(have), -1).view(bits)).all(axis=1)
+        return clean

@@ -48,7 +48,7 @@ from .trace import margin
 # ``cache_bytes`` is not one: it is a gauge of this process's own cache
 # (see ``_sync_cache_bytes``), and a worker's cache dies with the worker.
 _ENGINE_PERF_KEYS = ("capture_forwards", "cache_hits", "cache_misses",
-                     "cache_evictions")
+                     "cache_evictions", "segment_rows_skipped")
 
 
 @dataclass
@@ -407,8 +407,8 @@ class InjectionCampaign:
                                 # returns its cached clean output.
                                 logits = model(Tensor(self.pool_images[idx])).data
                             else:
-                                logits = self._resume.segmented.run_from(
-                                    seg_index, boundary).data
+                                logits = self._resume.replay(
+                                    seg_index, boundary, idx, site_layers).data
                     return logits, skipped
                 with prof.span("campaign.forward", cat="campaign", layer=layer_idx):
                     logits = model(Tensor(self.pool_images[idx])).data
@@ -509,7 +509,7 @@ class InjectionCampaign:
             return (0,) * len(_ENGINE_PERF_KEYS)
         cache = self._resume.cache
         return (self._resume.capture_forwards, cache.hits, cache.misses,
-                cache.evictions)
+                cache.evictions, self._resume.segment_rows_skipped)
 
     def _engine_delta(self, before):
         """How far the engine's tallies moved since ``before``, keyed like ``perf``."""

@@ -207,13 +207,14 @@ class SegmentedForward:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def run_from(self, index, x):
-        """Replay the model from the *input* of segment ``index``."""
+    def run_from(self, index, x, stop=None):
+        """Replay the model from the *input* of segment ``index``, up to
+        the input of segment ``stop`` (default: to the output)."""
         if not self.segments:
             raise RuntimeError("model did not factor into a segment chain")
         if not 0 <= index <= len(self.segments):
             raise IndexError(f"segment index {index} out of range")
-        for segment in self.segments[index:]:
+        for segment in self.segments[index:stop]:
             x = segment(x)
         return x
 

@@ -248,7 +248,13 @@ class PropagationTracer:
         per_layer = []
         for j in sorted(clean):
             if j in perturbed:
-                counts, l2, linf = divergence_rows(clean[j], perturbed[j])
+                acts = perturbed[j]
+                if len(acts) < len(clean[j]):
+                    # Rows that left the resume replay early were bitwise
+                    # clean from there on: their activations are the clean ones.
+                    acts = clean[j].copy()
+                    acts[self._campaign._resume.rows_through(j)] = perturbed[j]
+                counts, l2, linf = divergence_rows(clean[j], acts)
                 # Python lists: events index these per injection, and plain
                 # floats beat numpy scalar extraction in that loop.
                 per_layer.append((j, counts.tolist(), l2.tolist(), linf.tolist()))

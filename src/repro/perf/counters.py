@@ -20,7 +20,8 @@ from dataclasses import dataclass
 _PROMETHEUS_TYPES = {
     **dict.fromkeys(("injections", "elapsed_seconds", "forwards", "forwards_saved",
                      "resumed_forwards", "capture_forwards", "layer_forwards_executed",
-                     "layer_forwards_skipped", "cache_hits", "cache_misses",
+                     "layer_forwards_skipped", "segment_rows_skipped",
+                     "cache_hits", "cache_misses",
                      "cache_evictions", "chunk_retries", "chunks_requeued",
                      "chunks_quarantined", "worker_failures", "worker_respawns"),
                     "counter"),
@@ -42,6 +43,9 @@ class CampaignPerfCounters:
     capture_forwards: int = 0  # clean forwards run to (re)fill the cache
     layer_forwards_executed: int = 0
     layer_forwards_skipped: int = 0
+    # Row x segment forwards the resume replay's early exit avoided: a row
+    # bitwise clean at a segment boundary leaves the batch until the head.
+    segment_rows_skipped: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -132,6 +136,7 @@ class CampaignPerfCounters:
             "layer_forwards_executed": self.layer_forwards_executed,
             "layer_forwards_skipped": self.layer_forwards_skipped,
             "fraction_layer_forwards_skipped": self.fraction_layer_forwards_skipped,
+            "segment_rows_skipped": self.segment_rows_skipped,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -153,5 +158,6 @@ class CampaignPerfCounters:
             f"({self.forwards_saved} forwards saved), "
             f"resumed {self.resumed_forwards}/{self.forwards} forwards, "
             f"skipped {self.fraction_layer_forwards_skipped:.0%} of layer "
-            f"forwards, cache hit rate {self.cache_hit_rate:.0%})"
+            f"forwards, {self.segment_rows_skipped} row-segment forwards "
+            f"exited early, cache hit rate {self.cache_hit_rate:.0%})"
         )

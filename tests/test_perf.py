@@ -73,7 +73,7 @@ class TestCampaignPerfCounters:
             injections=100, elapsed_seconds=4.0, forwards=25,
             resumed_forwards=20, capture_forwards=2,
             layer_forwards_executed=30, layer_forwards_skipped=70,
-            cache_hits=60, cache_misses=40, cache_evictions=5,
+            segment_rows_skipped=12, cache_hits=60, cache_misses=40, cache_evictions=5,
             cache_bytes=1024, resume_enabled=True,
         )
 
@@ -110,9 +110,13 @@ class TestCampaignPerfCounters:
         assert d["injections"] == 100
         assert d["cache_hit_rate"] == pytest.approx(0.6)
         assert d["resume_enabled"] is True
+        assert d["segment_rows_skipped"] == 12
 
     def test_str_mentions_throughput(self):
         assert "injections" in str(self._filled())
+
+    def test_str_reports_early_exit_rows(self):
+        assert "12 row-segment forwards exited early" in str(self._filled())
 
     def test_add_folds_a_chunk_delta(self):
         perf = self._filled()
@@ -131,6 +135,7 @@ class TestCampaignPerfCounters:
         assert text.endswith("\n") and not any(line.startswith("# HELP") for line in lines)
         assert types["campaign_injections"] == "counter"
         assert types["campaign_cache_hits"] == "counter"
+        assert types["campaign_segment_rows_skipped"] == "counter"
         assert types["campaign_injections_per_sec"] == "gauge"
         assert types["campaign_cache_bytes"] == "gauge"
         assert list(samples) == sorted(samples)
@@ -138,5 +143,6 @@ class TestCampaignPerfCounters:
         assert samples["campaign_injections_per_sec"] == "25"
         assert samples["campaign_cache_hit_rate"] == "0.6"
         assert samples["campaign_resume_enabled"] == "1"
+        assert samples["campaign_segment_rows_skipped"] == "12"
         expected = {f"campaign_{k}": float(v) for k, v in perf.as_dict().items()}
         assert {k: float(v) for k, v in samples.items()} == expected
