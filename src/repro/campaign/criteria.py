@@ -12,6 +12,10 @@ Criteria are callables::
 where ``labels`` are the ground-truth classes of inputs the *unperturbed*
 model classifies correctly (the campaign guarantees this precondition) and
 ``baseline_logits`` are the unperturbed logits for criteria that need them.
+
+Every criterion flags a row with any non-finite perturbed logit (NaN or
+±inf) as corrupted: such a row is no usable answer, whatever its argmax
+happens to be (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -20,9 +24,17 @@ import numpy as np
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    # A row holding +inf shifts to inf - inf = NaN; its value is unused,
+    # since the row is flagged by _non_finite.
+    with np.errstate(invalid="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _non_finite(logits):
+    """Rows with any NaN or infinite logit."""
+    return ~np.isfinite(logits).all(axis=1)
 
 
 class Top1Misclassification:
@@ -31,7 +43,8 @@ class Top1Misclassification:
     name = "top1_misclassification"
 
     def __call__(self, perturbed_logits, labels, baseline_logits=None):
-        return perturbed_logits.argmax(axis=1) != np.asarray(labels)
+        return ((perturbed_logits.argmax(axis=1) != np.asarray(labels))
+                | _non_finite(perturbed_logits))
 
 
 class Top1NotInTopK:
@@ -48,7 +61,7 @@ class Top1NotInTopK:
         labels = np.asarray(labels)
         k = min(self.k, perturbed_logits.shape[1])
         topk = np.argpartition(-perturbed_logits, k - 1, axis=1)[:, :k]
-        return ~(topk == labels[:, None]).any(axis=1)
+        return ~(topk == labels[:, None]).any(axis=1) | _non_finite(perturbed_logits)
 
 
 class ConfidenceDrop:
@@ -72,7 +85,7 @@ class ConfidenceDrop:
         rows = np.arange(len(labels))
         base_conf = _softmax(baseline_logits)[rows, labels]
         pert_conf = _softmax(perturbed_logits)[rows, labels]
-        return (base_conf - pert_conf) > self.threshold
+        return ((base_conf - pert_conf) > self.threshold) | _non_finite(perturbed_logits)
 
 
 CRITERIA = {

@@ -5,16 +5,18 @@ The convolution is an im2col transform (forward) and a col2im scatter
 (MobileNet, ShuffleNet).  All kernels are pure numpy — this is the
 "silicon" of the reproduction, replacing PyTorch's ATen (see DESIGN.md §2).
 
-The im2col columns are K-major, ``(N, G, Cg*KH*KW, OH*OW)``, and are
-written tap by tap straight from the unpadded input: no padded copy and no
-window view is staged.  Windows overlap, so the columns are a real copy; in
+The im2col columns are K-major, ``(N, G, Cg*KH*KW, OH*OW)``, built by one
+helper (``_im2col``) for both ``conv2d`` and the weight-lane kernel
+``conv2d_lanes``, and are written tap by tap straight from the unpadded
+input: no padded copy and no window view is staged.  Windows overlap, so the columns are a real copy; in
 this order each tap's copy runs along whole output rows (OW elements), and
 the GEMM ``w_mat @ cols`` needs no transposed operand.  Its
 ``(N, G, OCg, OH*OW)`` result is NCHW as a view (DESIGN.md §7), and each
 batch row is its own GEMM, so rows do not depend on the batch around them.
 
 Eval-mode batch norm is one op over the running statistics, computed in a
-single buffer with a hand-written backward.
+single buffer with a hand-written backward.  Max pooling is a running max
+over strided tap views that follows ``argmax``'s tie rule bitwise.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..tensor import Tensor
+from ..tensor import Tensor, is_grad_enabled
 from ..tensor import rng as _rng
 
 
@@ -64,18 +66,15 @@ def _tap_range(k, pad, stride, size, out):
     return lo, hi
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
-    """2-D convolution (cross-correlation) on NCHW input.
-
-    ``weight`` has shape ``(out_channels, in_channels // groups, KH, KW)``.
-    """
+def _conv_geometry(x_shape, w_shape, stride, padding, dilation, groups):
+    """Validate a conv2d call; ``((sh, sw), (ph, pw), (oh, ow))``."""
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     dh, dw = _pair(dilation)
     if (dh, dw) != (1, 1):
         raise NotImplementedError("dilation > 1 is not required by the model zoo and is unsupported")
-    n, c, h, w = x.shape
-    oc, c_per_group, kh, kw = weight.shape
+    _, c, h, w = x_shape
+    oc, c_per_group, kh, kw = w_shape
     if c != c_per_group * groups:
         raise ValueError(
             f"input channels ({c}) do not match weight ({c_per_group}) x groups ({groups})"
@@ -84,41 +83,77 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
         raise ValueError(f"out_channels ({oc}) must be divisible by groups ({groups})")
     oh = _conv_output_size(h, kh, sh, ph)
     ow = _conv_output_size(w, kw, sw, pw)
+    return (sh, sw), (ph, pw), (oh, ow)
 
-    xd = x.data
-    oc_per_group = oc // groups
-    # Keep every matmul operand in the input dtype: a float64 weight (or
-    # bias) would silently upcast the whole im2col product and force a
-    # downcast copy of the output afterwards.
-    w_mat = weight.data.reshape(groups, oc_per_group, c_per_group * kh * kw)
-    if w_mat.dtype != xd.dtype:
-        w_mat = w_mat.astype(xd.dtype)
-    bias_vec = None
-    if bias is not None:
-        bias_vec = bias.data
-        if bias_vec.dtype != xd.dtype:
-            bias_vec = bias_vec.astype(xd.dtype)
 
+def _conv_operands(weight, bias, groups, dtype):
+    """The GEMM weight ``(G, OCg, Cg*KH*KW)`` and the bias, in ``dtype``.
+
+    Keeping every matmul operand in the input dtype matters: a float64
+    weight (or bias) would silently upcast the whole im2col product and
+    force a downcast copy of the output afterwards.  In the input dtype the
+    weight matrix is a view, so an in-place edit of the weight shows in it.
+    """
+    oc, c_per_group, kh, kw = weight.shape
+    w_mat = _as_dtype(weight.data.reshape(groups, oc // groups, c_per_group * kh * kw),
+                      dtype)
+    bias_vec = None if bias is None else _as_dtype(bias.data, dtype)
+    return w_mat, bias_vec
+
+
+def _im2col(xd, kernel_hw, stride, padding, out_hw, groups):
+    """K-major columns ``(N, G, Cg*KH*KW, OH*OW)`` of NCHW input ``xd``.
+
+    A 1x1 unpadded kernel's columns are the input itself (strided if
+    needed; the reshape copies only when the stride slice is real).
+    Otherwise the columns ``(N, C, KH, KW, OH, OW)`` are written tap by tap
+    straight from the unpadded input: tap (i, j) of output (r, c) reads
+    input (r*sh + i - ph, c*sw + j - pw), and the outputs whose read falls
+    in the padding keep their zero.  Each copy's inner run is an output row.
+    """
+    kh, kw = kernel_hw
+    sh, sw = stride
+    ph, pw = padding
+    oh, ow = out_hw
+    n, c, h, w = xd.shape
     if (kh, kw) == (1, 1) and not (ph or pw):
-        # Pointwise convolution: a strided slice + batched matmul, no im2col.
-        return _conv2d_pointwise(x, weight, bias, w_mat, bias_vec,
-                                 (sh, sw), groups, (oh, ow))
-
-    # K-major columns (N, C, KH, KW, OH, OW), written tap by tap straight
-    # from the unpadded input: tap (i, j) of output (r, c) reads input
-    # (r*sh + i - ph, c*sw + j - pw), and the outputs whose read falls in
-    # the padding keep their zero.  Each copy's inner run is an output row.
+        xs = xd if (sh, sw) == (1, 1) else xd[:, :, ::sh, ::sw]
+        return xs.reshape(n, groups, c // groups, oh * ow)
     cols = (np.zeros if (ph or pw) else np.empty)((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+    col_ranges = [_tap_range(j, pw, sw, w, ow) for j in range(kw)]
     for i in range(kh):
         r0, r1 = _tap_range(i, ph, sh, h, oh)
-        for j in range(kw):
-            c0, c1 = _tap_range(j, pw, sw, w, ow)
-            if r0 < r1 and c0 < c1:
-                rs, cs = r0 * sh + i - ph, c0 * sw + j - pw
+        if r0 >= r1:
+            continue
+        rs = r0 * sh + i - ph
+        rows = slice(rs, rs + (r1 - r0 - 1) * sh + 1, sh)
+        for j, (c0, c1) in enumerate(col_ranges):
+            if c0 < c1:
+                cs = c0 * sw + j - pw
                 cols[:, :, i, j, r0:r1, c0:c1] = xd[
-                    :, :, rs : rs + (r1 - r0 - 1) * sh + 1 : sh,
-                    cs : cs + (c1 - c0 - 1) * sw + 1 : sw]
-    cols_mat = cols.reshape(n, groups, c_per_group * kh * kw, oh * ow)
+                    :, :, rows, cs : cs + (c1 - c0 - 1) * sw + 1 : sw]
+    return cols.reshape(n, groups, c // groups * kh * kw, oh * ow)
+
+
+def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
+    """2-D convolution (cross-correlation) on NCHW input.
+
+    ``weight`` has shape ``(out_channels, in_channels // groups, KH, KW)``.
+    """
+    (sh, sw), (ph, pw), (oh, ow) = _conv_geometry(x.shape, weight.shape, stride,
+                                                  padding, dilation, groups)
+    n, c, h, w = x.shape
+    oc, c_per_group, kh, kw = weight.shape
+    oc_per_group = oc // groups
+    xd = x.data
+    w_mat, bias_vec = _conv_operands(weight, bias, groups, xd.dtype)
+    cols_mat = _im2col(xd, (kh, kw), (sh, sw), (ph, pw), (oh, ow), groups)
+
+    if (kh, kw) == (1, 1) and not (ph or pw):
+        # Pointwise convolution: the columns are the (strided) input.
+        return _conv2d_pointwise(x, weight, bias, w_mat, bias_vec, cols_mat,
+                                 (sh, sw), groups, (oh, ow))
+
     # (N, G, OCg, OH*OW).  This orientation reshapes to NCHW as a contiguous
     # view, so conv outputs always share one memory layout — checkpoint
     # replays that substitute cached (contiguous) outputs stay bitwise
@@ -173,22 +208,17 @@ def _as_dtype(array, dtype):
     return array.astype(dtype)
 
 
-def _conv2d_pointwise(x, weight, bias, w_mat, bias_vec, stride, groups, out_hw):
-    """1x1-kernel conv2d: subsample spatially, then one batched matmul.
+def _conv2d_pointwise(x, weight, bias, w_mat, bias_vec, x_flat, stride, groups, out_hw):
+    """1x1-kernel conv2d: one batched matmul over the (strided) input.
 
-    For a 1x1 kernel the K-major im2col columns ``(N, G, Cg, OH*OW)`` are
-    the input itself (strided if needed), so no window copy is made.
-    Routing these shapes through the im2col path gives bitwise-identical
-    outputs but is slower.
+    For a 1x1 kernel the K-major im2col columns ``x_flat``,
+    ``(N, G, Cg, OH*OW)``, are the input itself, so no window copy is made
+    and the backward scatters the input gradient back through the stride.
     """
     sh, sw = stride
     oh, ow = out_hw
     n, c, h, w = x.shape
     oc = w_mat.shape[0] * w_mat.shape[1]
-    c_per_group = c // groups
-    xd = x.data if (sh, sw) == (1, 1) else x.data[:, :, ::sh, ::sw]
-    # (N, G, Cg, OH*OW); reshape copies only when the stride slice is real.
-    x_flat = xd.reshape(n, groups, c_per_group, oh * ow)
     out = np.matmul(w_mat, x_flat)  # (N, G, OCg, OH*OW)
     out = out.reshape(n, oc, oh, ow)
     if bias_vec is not None:
@@ -224,27 +254,34 @@ def conv2d_lanes(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1
                  lanes=()):
     """Per-lane weight-perturbed conv rows (the lane-packing weight delta).
 
-    ``lanes`` is a sequence of ``(row, coords, value)`` triples.  For each
-    lane the weight entry at ``coords`` is set to ``value``, batch row
-    ``row`` alone is re-run through :func:`conv2d` — the *same* kernel the
-    batched forward used, so the row is bitwise the row a whole-batch
-    forward under the rewritten weight would produce — and the weight is
-    bitwise-restored before the next lane.  Returns the perturbed rows
-    stacked on a new leading axis.
+    ``lanes`` is a sequence of ``(row, coords, value)`` triples.  The lanes'
+    batch rows share one im2col buffer; for each lane the weight entry at
+    ``coords`` is set to ``value``, the row's one GEMM runs and the bias is
+    added — the operands and ops :func:`conv2d` gives that row, so the row
+    is bitwise the row a whole-batch forward under the rewritten weight
+    would produce — and the weight is bitwise-restored before the next
+    lane.  Returns the perturbed rows stacked on a new leading axis.
     """
-    rows = []
+    (sh, sw), (ph, pw), (oh, ow) = _conv_geometry(x.shape, weight.shape, stride,
+                                                  padding, dilation, groups)
+    oc, _, kh, kw = weight.shape
+    xd = x.data
+    cols_mat = _im2col(xd[[row for row, _, _ in lanes]], (kh, kw), (sh, sw),
+                       (ph, pw), (oh, ow), groups)
+    out = np.empty((len(lanes), oc, oh, ow), dtype=xd.dtype)
     wd = weight.data
-    for row, coords, value in lanes:
+    for lane, (_, coords, value) in enumerate(lanes):
         original = wd[coords]
         wd[coords] = value
         try:
-            x_row = Tensor(np.ascontiguousarray(x.data[row : row + 1]),
-                           device=x.device)
-            rows.append(conv2d(x_row, weight, bias, stride=stride, padding=padding,
-                               dilation=dilation, groups=groups).data[0])
+            w_mat, bias_vec = _conv_operands(weight, bias, groups, xd.dtype)
+            row = np.matmul(w_mat, cols_mat[lane : lane + 1]).reshape(1, oc, oh, ow)
+            if bias_vec is not None:
+                row += bias_vec.reshape(1, oc, 1, 1)
+            out[lane] = row[0]
         finally:
             wd[coords] = original
-    return np.stack(rows)
+    return out
 
 
 def linear_lanes(x, weight, bias=None, lanes=()):
@@ -283,7 +320,16 @@ def linear(x, weight, bias=None):
 
 
 def max_pool2d(x, kernel_size, stride=None, padding=0):
-    """Max pooling over NCHW input with argmax-routed gradients."""
+    """Max pooling over NCHW input with argmax-routed gradients.
+
+    The output is a running max over the ``kh*kw`` strided tap views of the
+    (``-inf``-padded) input, taken in ``(i, j)`` order, and it follows
+    ``argmax``'s rule (DESIGN.md §2): a later tap replaces the value only
+    if it is strictly greater, or if it is the window's first NaN.  So a
+    ``-0.0``/``+0.0`` tie keeps the earlier zero and a NaN keeps its sign
+    and payload.  The tap index of each maximum is tracked only where a
+    backward can run.
+    """
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride if stride is not None else kernel_size)
     ph, pw = _pair(padding)
@@ -291,13 +337,29 @@ def max_pool2d(x, kernel_size, stride=None, padding=0):
     oh = _conv_output_size(h, kh, sh, ph)
     ow = _conv_output_size(w, kw, sw, pw)
     xd = x.data
+    padded = xd
     if ph or pw:
-        padded = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+        padded = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, dtype=xd.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = xd
+    taps = [padded[:, :, i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw]
+            for i in range(kh) for j in range(kw)]
+    out = taps[0].copy()
+    flat_arg = None
+    if is_grad_enabled() and x.requires_grad:
+        flat_arg = _running_argmax(taps, out)
+    elif out.dtype not in (np.float32, np.float64):
+        # np.maximum returns its first operand on a float16 tie.
+        _running_argmax(taps, out)
     else:
-        padded = xd
-    cols = _windows(padded, (kh, kw), (sh, sw)).reshape(n, c, oh, ow, kh * kw)
-    flat_arg = cols.argmax(axis=-1)
-    out = np.take_along_axis(cols, flat_arg[..., None], axis=-1)[..., 0]
+        # On a float32/float64 tie np.maximum returns its second operand,
+        # the earlier tap (asserted in the tests), and any NaN propagates.
+        # Which NaN comes out when two meet is not argmax's, so a NaN
+        # output is refolded by the rule.
+        for tap in taps[1:]:
+            np.maximum(tap, out, out=out)
+        if np.isnan(out).any():
+            np.copyto(out, taps[0])
+            _running_argmax(taps, out)
 
     def backward(g):
         grad_padded = np.zeros_like(padded, dtype=g.dtype)
@@ -310,7 +372,24 @@ def max_pool2d(x, kernel_size, stride=None, padding=0):
             return (grad_padded[:, :, ph : ph + h, pw : pw + w],)
         return (grad_padded,)
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "max_pool2d", x.device)
+    return Tensor._from_op(out, (x,), backward, "max_pool2d", x.device)
+
+
+def _running_argmax(taps, out):
+    """Fold taps ``1..`` into ``out`` (holding tap 0) by argmax's rule.
+
+    Returns each output's first maximal tap index, as ``argmax`` over the
+    window's flattened taps would.
+    """
+    arg = np.zeros(out.shape, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        for k, tap in enumerate(taps[1:], 1):
+            take = tap > out
+            if out.dtype.kind == "f":
+                take |= np.isnan(tap) & ~np.isnan(out)
+            np.copyto(out, tap, where=take)
+            arg[take] = k
+    return arg
 
 
 def avg_pool2d(x, kernel_size, stride=None, padding=0):

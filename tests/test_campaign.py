@@ -112,6 +112,20 @@ class TestCriteria:
         with pytest.raises(ValueError, match="baseline"):
             criterion(np.zeros((1, 2)), np.array([0]))
 
+    @pytest.mark.parametrize("criterion", [Top1Misclassification(), Top1NotInTopK(k=2),
+                                           ConfidenceDrop()],
+                             ids=["top1", "top1_top2", "confidence"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf],
+                             ids=["nan", "neg-nan", "inf", "neg-inf"])
+    def test_non_finite_row_is_corrupted(self, criterion, bad):
+        # A NaN or +inf sits at the label, where argmax reports it; a -inf
+        # sits off the label, where neither argmax nor softmax notices it.
+        baseline = np.array([[4.0, 1.0, 0.0], [4.0, 1.0, 0.0]], dtype=np.float32)
+        perturbed = baseline.copy()
+        perturbed[0, 2 if bad == -np.inf else 0] = bad
+        flags = criterion(perturbed, np.array([0, 0]), baseline)
+        np.testing.assert_array_equal(flags, [True, False])
+
     def test_as_criterion(self):
         assert isinstance(as_criterion("top1"), Top1Misclassification)
         assert isinstance(as_criterion("top1_top5"), Top1NotInTopK)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import nn
 from repro.nn import functional as F
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 from .conftest import assert_grad_close, numerical_gradient
 
@@ -177,6 +178,14 @@ class TestConv2d:
         with pytest.raises(ValueError, match="empty output"):
             F.conv2d(x, w, None)
 
+    def test_column_tap_ranges_are_computed_once(self, rng, monkeypatch):
+        calls = []
+        tap_range = F._tap_range
+        monkeypatch.setattr(F, "_tap_range", lambda *a: calls.append(a) or tap_range(*a))
+        x, w, b = _conv_operands(rng, 3, 4, 5, 1, 8, n=1)
+        F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2)
+        assert len(calls) == 10  # 5 row taps and 5 column taps
+
     def test_dilation_unsupported(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 5, 5)).astype(np.float32))
         w = Tensor(rng.standard_normal((1, 1, 3, 3)).astype(np.float32))
@@ -224,6 +233,132 @@ class TestConv2d:
             rtol=1e-4, atol=1e-4)
 
 
+def argmax_max_pool2d(x, kernel_size, stride=None, padding=0):
+    """The argmax max-pool kernel the running max replaced, kept verbatim
+    as the naive reference: window view, ``argmax``, ``take_along_axis``."""
+    kh, kw = F._pair(kernel_size)
+    sh, sw = F._pair(stride if stride is not None else kernel_size)
+    ph, pw = F._pair(padding)
+    n, c, h, w = x.shape
+    oh = F._conv_output_size(h, kh, sh, ph)
+    ow = F._conv_output_size(w, kw, sw, pw)
+    xd = x.data
+    if ph or pw:
+        padded = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    else:
+        padded = xd
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = windows.reshape(n, c, oh, ow, kh * kw)
+    flat_arg = cols.argmax(axis=-1)
+    out = np.take_along_axis(cols, flat_arg[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        grad_padded = np.zeros_like(padded, dtype=g.dtype)
+        ki, kj = np.unravel_index(flat_arg, (kh, kw))
+        ni, ci, oi, oj = np.indices((n, c, oh, ow), sparse=False)
+        rows = oi * sh + ki
+        colsx = oj * sw + kj
+        np.add.at(grad_padded, (ni, ci, rows, colsx), g)
+        if ph or pw:
+            return (grad_padded[:, :, ph : ph + h, pw : pw + w],)
+        return (grad_padded,)
+
+    return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "max_pool2d", x.device)
+
+
+def adversarial_pool_input(rng, shape, dtype, nan=True):
+    """Values drawn from a few specials so windows tie often: signed zeros,
+    ±1, ±inf and (when ``nan``) NaNs with random signs and payloads."""
+    specials = [-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf]
+    x = np.asarray(specials, dtype=dtype)[rng.integers(0, len(specials), shape)]
+    if nan:
+        bits = x.view(f"u{x.itemsize}")
+        nbits = 8 * x.itemsize
+        mant = np.finfo(dtype).nmant
+        exp_mask = ((1 << (nbits - 1 - mant)) - 1) << mant
+        where = rng.random(shape) < 0.1
+        payload = rng.integers(1, 1 << mant, shape, dtype=np.uint64)
+        sign = rng.integers(0, 2, shape, dtype=np.uint64) << np.uint64(nbits - 1)
+        nans = (sign | np.uint64(exp_mask) | payload).astype(bits.dtype)
+        bits[where] = nans[where]
+    return x
+
+
+#: ``(kernel, stride, padding, (h, w))``: the model configs 2/2/0 (alexnet,
+#: vgg, squeezenet) and 3/1/1 (googlenet), 3/2/1 and 2/1/0, sizes the
+#: stride does not divide, and windows that are mostly padding.
+POOL_CONFIGS = {
+    "2-2-0": (2, 2, 0, (8, 8)),
+    "3-1-1": (3, 1, 1, (7, 7)),
+    "3-2-1": (3, 2, 1, (8, 8)),
+    "2-1-0": (2, 1, 0, (6, 6)),
+    "2-2-0-odd": (2, 2, 0, (7, 9)),
+    "3-2-0-odd": (3, 2, 0, (9, 8)),
+    "2-2-1-mostly-pad": (2, 2, 1, (2, 2)),
+    "3-2-1-on-1x1": (3, 2, 1, (1, 1)),
+}
+
+
+def per_row_conv2d_lanes(x, weight, bias, stride, padding, groups, lanes):
+    """Reference lane kernel: per lane, rewrite the weight entry, run
+    ``conv2d`` on that batch row alone and restore the entry."""
+    rows = []
+    for row, coords, value in lanes:
+        original = weight.data[coords]
+        weight.data[coords] = value
+        rows.append(F.conv2d(Tensor(x.data[row : row + 1], dtype=x.dtype), weight, bias,
+                             stride=stride, padding=padding, groups=groups).data[0])
+        weight.data[coords] = original
+    return np.stack(rows)
+
+
+#: ``(cin, cout, kernel, stride, padding, groups, hw)`` for the lane kernel.
+LANE_PATHS = {
+    "3x3-pad0": (4, 6, 3, 1, 0, 1, 7),
+    "3x3-pad1-stride2": (4, 6, 3, 2, 1, 1, 9),
+    "5x5-pad2": (3, 8, 5, 1, 2, 1, 8),
+    "grouped": (8, 12, 3, 1, 1, 2, 6),
+    "depthwise-stride2": (8, 8, 3, 2, 1, 8, 7),
+    "1x1": (8, 16, 1, 1, 0, 1, 6),
+    "1x1-stride2": (8, 16, 1, 2, 0, 1, 7),
+    "1x1-pad1": (4, 6, 1, 1, 1, 1, 5),
+}
+
+
+class TestConv2dLanes:
+    @pytest.mark.parametrize("path", sorted(LANE_PATHS))
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("weight_dtype", [np.float32, np.float64])
+    def test_rows_are_bitwise_the_per_row_conv(self, rng, path, bias, weight_dtype):
+        cin, cout, k, s, p, groups, hw = LANE_PATHS[path]
+        x, w, b = _conv_operands(rng, cin, cout, k, groups, hw, n=6)
+        weight = Tensor(w, dtype=weight_dtype)
+        bias_t = Tensor(b, dtype=weight_dtype) if bias else None
+        before = weight.data.tobytes()
+        # Repeated rows, and values a bit flip makes: huge, tiny, negated.
+        lanes = []
+        for row in (0, 3, 3, 5, 1):
+            coords = tuple(int(rng.integers(0, d)) for d in weight.shape)
+            value = weight.data[coords] * rng.choice([1e30, 1e-30, -1.0, 2.0])
+            lanes.append((row, coords, value))
+        got = F.conv2d_lanes(Tensor(x), weight, bias_t, stride=s, padding=p,
+                             groups=groups, lanes=lanes)
+        assert weight.data.tobytes() == before
+        want = per_row_conv2d_lanes(Tensor(x), weight, bias_t, s, p, groups, lanes)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert weight.data.tobytes() == before
+
+    def test_weight_is_restored_when_a_lane_fails(self, rng):
+        x, w, b = _conv_operands(rng, 4, 6, 3, 1, 6, n=2)
+        weight = Tensor(w)
+        before = weight.data.tobytes()
+        with pytest.raises(IndexError):
+            F.conv2d_lanes(Tensor(x), weight, Tensor(b), padding=1,
+                           lanes=[(0, (0, 0, 0, 0), 5.0), (1, (0, 0, 0, 9), 5.0)])
+        assert weight.data.tobytes() == before
+
+
 class TestPooling:
     def test_max_pool_matches_naive(self, rng):
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
@@ -242,6 +377,68 @@ class TestPooling:
                    requires_grad=True)
         F.max_pool2d(x, 2, 2).sum().backward()
         np.testing.assert_array_equal(x.grad[0, 0], [[0, 1], [0, 0]])
+
+    def test_maximum_returns_second_operand_on_ties(self):
+        # The running max relies on np.maximum(tap, out) keeping ``out``, the
+        # earlier value, when the two compare equal (-0.0 == +0.0): assert it
+        # at contiguous, strided and odd lengths, so a numpy change shows here.
+        for dtype in (np.float32, np.float64):
+            for length in (1, 3, 7, 8, 15, 16, 17, 33, 64, 257):
+                for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+                    tap = np.full(2 * length, first, dtype=dtype)[::2]
+                    out = np.full(length, second, dtype=dtype)
+                    np.maximum(tap, out, out=out)
+                    assert (np.signbit(out) == np.signbit(second)).all(), (dtype, length)
+                    assert (np.signbit(np.maximum(tap.copy(), out.copy()))
+                            == np.signbit(second)).all()
+
+    @pytest.mark.parametrize("config", sorted(POOL_CONFIGS))
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    def test_max_pool_is_bitwise_the_argmax_kernel(self, config, dtype, nan):
+        kernel, stride, padding, (h, w) = POOL_CONFIGS[config]
+        rng = np.random.default_rng([sorted(POOL_CONFIGS).index(config), nan])
+        for _ in range(10):
+            x = adversarial_pool_input(rng, (2, 3, h, w), dtype, nan=nan)
+            want = argmax_max_pool2d(Tensor(x, dtype=dtype), kernel, stride, padding).data
+            with no_grad():
+                got = F.max_pool2d(Tensor(x, dtype=dtype), kernel, stride, padding).data
+            assert got.dtype == want.dtype and got.flags["C_CONTIGUOUS"]
+            assert got.tobytes() == want.tobytes()
+
+            xt, xr = (Tensor(x.copy(), dtype=dtype, requires_grad=True) for _ in range(2))
+            out = F.max_pool2d(xt, kernel, stride, padding)
+            ref = argmax_max_pool2d(xr, kernel, stride, padding)
+            assert out.data.tobytes() == want.tobytes()
+            g = rng.standard_normal(out.shape).astype(dtype)
+            out.backward(Tensor(g, dtype=dtype))
+            ref.backward(Tensor(g, dtype=dtype))
+            assert xt.grad.data.tobytes() == xr.grad.data.tobytes()
+
+    @pytest.mark.parametrize("shape,config", [((16, 16, 32, 32), "2-2-0"),
+                                              ((4, 8, 15, 15), "3-1-1"),
+                                              ((4, 8, 13, 13), "3-2-0-odd")])
+    def test_max_pool_matches_argmax_kernel_at_model_shapes(self, rng, shape, config):
+        kernel, stride, padding, _ = POOL_CONFIGS[config]
+        x = rng.standard_normal(shape).astype(np.float32)
+        x[x < -1] = 0.0  # ReLU-like zeros, so ±0 ties are common
+        x[x < -0.5] = -0.0
+        want = argmax_max_pool2d(Tensor(x), kernel, stride, padding).data
+        with no_grad():
+            got = F.max_pool2d(Tensor(x), kernel, stride, padding).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_max_pool_records_no_argmax_without_backward(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(F, "_running_argmax",
+                            lambda taps, out: calls.append(1) or np.zeros(out.shape, int))
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        with no_grad():
+            F.max_pool2d(Tensor(x, requires_grad=True), 2, 2)
+        F.max_pool2d(Tensor(x), 2, 2)
+        assert calls == []
+        F.max_pool2d(Tensor(x, requires_grad=True), 2, 2)
+        assert calls == [1]
 
     def test_avg_pool_matches_naive(self, rng):
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
