@@ -384,16 +384,17 @@ class CampaignResumeEngine:
         ``pool_indices``, equal their cached clean row bit for bit.  A row
         whose pool index is None or whose clean row is not cached is not
         clean."""
-        refs = [self.cache.peek(("seg", t, i)) if i is not None else None
-                for i in pool_indices]
+        peek = self.cache.peek
+        refs = [None if i is None else peek(("seg", t, i)) for i in pool_indices]
         clean = np.zeros(len(refs), dtype=bool)
         have = [r for r, ref in enumerate(refs) if ref is not None]
         if have:
             # Compare bit patterns, not floats: -0.0 != 0.0 and NaN payloads
-            # must count as different.
+            # must count as different.  Joining flat rows skips the
+            # per-array checks and expand_dims of ``np.stack``.
             bits = f"u{data.itemsize}" if data.itemsize in (1, 2, 4, 8) else "u1"
             got = data if len(have) == len(refs) else data[have]
-            want = np.stack([refs[r] for r in have])
+            want = np.concatenate([refs[r].reshape(1, -1) for r in have])
             clean[have] = (got.reshape(len(have), -1).view(bits)
-                           == want.reshape(len(have), -1).view(bits)).all(axis=1)
+                           == want.view(bits)).all(axis=1)
         return clean

@@ -7,12 +7,16 @@ The convolution is an im2col transform (forward) and a col2im scatter
 
 The im2col columns are K-major, ``(N, G, Cg*KH*KW, OH*OW)``, built by one
 helper (``_im2col``) for both ``conv2d`` and the weight-lane kernel
-``conv2d_lanes``, and are written tap by tap straight from the unpadded
-input: no padded copy and no window view is staged.  Windows overlap, so the columns are a real copy; in
-this order each tap's copy runs along whole output rows (OW elements), and
-the GEMM ``w_mat @ cols`` needs no transposed operand.  Its
-``(N, G, OCg, OH*OW)`` result is NCHW as a view (DESIGN.md §7), and each
-batch row is its own GEMM, so rows do not depend on the batch around them.
+``conv2d_lanes``.  The geometry picks one of three builders, which give
+the same bytes: a 1x1 unpadded kernel's columns are the input itself; a
+stride-1 "same" conv copies each input plane once into a zero-margined
+flat buffer and reads every tap as that plane shifted, in one strided
+copy; any other conv is written tap by tap from the unpadded input, each
+copy running along whole output rows.  No padded copy of the input and
+no window view is staged, and the GEMM ``w_mat @ cols`` needs no
+transposed operand.  Its ``(N, G, OCg, OH*OW)`` result is NCHW as a view
+(DESIGN.md §7), and each batch row is its own GEMM, so rows do not depend
+on the batch around them.
 
 Eval-mode batch norm is one op over the running statistics, computed in a
 single buffer with a hand-written backward.  Max pooling is a running max
@@ -22,7 +26,7 @@ over strided tap views that follows ``argmax``'s tie rule bitwise.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..tensor import Tensor, is_grad_enabled
 from ..tensor import rng as _rng
@@ -104,12 +108,22 @@ def _conv_operands(weight, bias, groups, dtype):
 def _im2col(xd, kernel_hw, stride, padding, out_hw, groups):
     """K-major columns ``(N, G, Cg*KH*KW, OH*OW)`` of NCHW input ``xd``.
 
-    A 1x1 unpadded kernel's columns are the input itself (strided if
-    needed; the reshape copies only when the stride slice is real).
-    Otherwise the columns ``(N, C, KH, KW, OH, OW)`` are written tap by tap
-    straight from the unpadded input: tap (i, j) of output (r, c) reads
-    input (r*sh + i - ph, c*sw + j - pw), and the outputs whose read falls
-    in the padding keep their zero.  Each copy's inner run is an output row.
+    Tap (i, j) of output (r, c) reads input (r*sh + i - ph, c*sw + j - pw);
+    a read that falls in the padding gives a zero.  Three builders, chosen
+    by the geometry:
+
+    * a 1x1 unpadded kernel's columns are the input itself (strided if
+      needed; the reshape copies only when the stride slice is real);
+    * a stride-1 "same" conv (OH, OW == H, W): tap (i, j) is the flat
+      input plane shifted by ``(i - ph)*W + (j - pw)``.  Each plane is
+      copied once into a zero-margined flat buffer, one strided view reads
+      every tap's whole plane, and per kernel column ``j`` the outputs whose
+      read wrapped into the neighbouring row are zeroed;
+    * otherwise the columns ``(N, C, KH, KW, OH, OW)`` are written tap by
+      tap from the unpadded input into zeros, each copy's inner run an
+      output row.
+
+    All three give the same bytes for the same geometry.
     """
     kh, kw = kernel_hw
     sh, sw = stride
@@ -119,6 +133,25 @@ def _im2col(xd, kernel_hw, stride, padding, out_hw, groups):
     if (kh, kw) == (1, 1) and not (ph or pw):
         xs = xd if (sh, sw) == (1, 1) else xd[:, :, ::sh, ::sw]
         return xs.reshape(n, groups, c // groups, oh * ow)
+    if (sh, sw) == (1, 1) and (oh, ow) == (h, w):
+        # Shifts span [-margin, margin]: a read above or below the image
+        # lands in a margin zero, one left or right of it wraps a row.
+        margin = ph * w + pw
+        flat = np.empty((n, c, h * w + 2 * margin), dtype=xd.dtype)
+        flat[:, :, :margin] = 0
+        flat[:, :, margin + h * w:] = 0
+        flat[:, :, margin:margin + h * w].reshape(n, c, h, w)[...] = xd
+        e = flat.itemsize
+        taps = as_strided(flat, (n, c, kh, kw, h * w),
+                          flat.strides[:2] + (w * e, e, e), writeable=False)
+        cols = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+        cols.reshape(taps.shape)[...] = taps
+        for j in range(kw):
+            if j < pw:
+                cols[:, :, :, j, :, :pw - j] = 0
+            elif j > pw:
+                cols[:, :, :, j, :, max(w + pw - j, 0):] = 0
+        return cols.reshape(n, groups, c // groups * kh * kw, oh * ow)
     cols = (np.zeros if (ph or pw) else np.empty)((n, c, kh, kw, oh, ow), dtype=xd.dtype)
     col_ranges = [_tap_range(j, pw, sw, w, ow) for j in range(kw)]
     for i in range(kh):

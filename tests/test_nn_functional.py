@@ -183,8 +183,11 @@ class TestConv2d:
         tap_range = F._tap_range
         monkeypatch.setattr(F, "_tap_range", lambda *a: calls.append(a) or tap_range(*a))
         x, w, b = _conv_operands(rng, 3, 4, 5, 1, 8, n=1)
-        F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2)
+        F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=2)
         assert len(calls) == 10  # 5 row taps and 5 column taps
+        calls.clear()
+        F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2)  # "same": shifted planes
+        assert calls == []
 
     def test_dilation_unsupported(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 5, 5)).astype(np.float32))
@@ -357,6 +360,120 @@ class TestConv2dLanes:
             F.conv2d_lanes(Tensor(x), weight, Tensor(b), padding=1,
                            lanes=[(0, (0, 0, 0, 0), 5.0), (1, (0, 0, 0, 9), 5.0)])
         assert weight.data.tobytes() == before
+
+
+def tap_loop_im2col(xd, kernel_hw, stride, padding, out_hw, groups):
+    """The tap-by-tap column builder the shifted-plane builder replaced for
+    stride-1 "same" convs, kept verbatim as the naive reference: zeroed
+    columns, one strided copy per tap whose inner run is an output row."""
+    kh, kw = kernel_hw
+    sh, sw = stride
+    ph, pw = padding
+    oh, ow = out_hw
+    n, c, h, w = xd.shape
+    if (kh, kw) == (1, 1) and not (ph or pw):
+        xs = xd if (sh, sw) == (1, 1) else xd[:, :, ::sh, ::sw]
+        return xs.reshape(n, groups, c // groups, oh * ow)
+    cols = (np.zeros if (ph or pw) else np.empty)((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+    col_ranges = [F._tap_range(j, pw, sw, w, ow) for j in range(kw)]
+    for i in range(kh):
+        r0, r1 = F._tap_range(i, ph, sh, h, oh)
+        if r0 >= r1:
+            continue
+        rs = r0 * sh + i - ph
+        rows = slice(rs, rs + (r1 - r0 - 1) * sh + 1, sh)
+        for j, (c0, c1) in enumerate(col_ranges):
+            if c0 < c1:
+                cs = c0 * sw + j - pw
+                cols[:, :, i, j, r0:r1, c0:c1] = xd[
+                    :, :, rows, cs : cs + (c1 - c0 - 1) * sw + 1 : sw]
+    return cols.reshape(n, groups, c // groups * kh * kw, oh * ow)
+
+
+def special_conv_input(rng, shape, dtype):
+    """Normal draws with about a third replaced by signed zeros, ±1, ±inf
+    and signed NaNs with random payloads."""
+    x = rng.standard_normal(shape).astype(dtype)
+    where = rng.random(shape) < 0.3
+    x[where] = adversarial_pool_input(rng, shape, dtype)[where]
+    return x
+
+
+#: Plane sizes ``(h, w)`` for the "same" conv columns: planes smaller than
+#: the kernel, single rows and columns, odd and non-square.
+SAME_PLANES = [(1, 1), (2, 2), (1, 4), (4, 1), (3, 2), (5, 7), (8, 8)]
+
+#: ``(cin, cout, kernel, groups, (h, w))`` at zoo shapes: alexnet's 5x5 stem,
+#: the 3x3 convs of vgg and resnet at each stage's size, a plane smaller
+#: than the kernel, and a depthwise conv.
+SAME_ZOO = {
+    "5x5-stem": (3, 16, 5, 1, (32, 32)),
+    "3x3-32x32": (16, 16, 3, 1, (32, 32)),
+    "3x3-16x16": (16, 32, 3, 1, (16, 16)),
+    "3x3-8x8": (32, 32, 3, 1, (8, 8)),
+    "3x3-4x4": (64, 64, 3, 1, (4, 4)),
+    "3x3-2x2": (64, 64, 3, 1, (2, 2)),
+    "5x5-on-1x1": (8, 8, 5, 1, (1, 1)),
+    "depthwise": (16, 16, 3, 16, (8, 8)),
+}
+
+
+class TestSamePlaneColumns:
+    """Stride-1 "same" convs build their columns as shifted planes; the
+    bytes equal the tap loop's, so every product of them is bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(3, 3), (1, 3), (3, 1), (3, 5), (5, 5), (7, 7)])
+    def test_columns_are_bitwise_the_tap_loop(self, rng, dtype, kernel):
+        kh, kw = kernel
+        padding = (kh // 2, kw // 2)
+        for h, w in SAME_PLANES:
+            for c, groups in [(3, 1), (4, 2), (4, 4)]:
+                for contiguous in (True, False):
+                    x = special_conv_input(rng, (2, c, h, 2 * w), dtype)
+                    x = x[..., ::2] if not contiguous else x[..., :w].copy()
+                    args = (kernel, (1, 1), padding, (h, w), groups)
+                    got = F._im2col(x, *args)
+                    want = tap_loop_im2col(x, *args)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (h, w, c, groups, contiguous)
+
+    @pytest.mark.parametrize("shape", sorted(SAME_ZOO))
+    def test_conv2d_bytes_and_gradients_are_the_tap_loop(self, rng, monkeypatch, shape):
+        cin, cout, k, groups, (h, w) = SAME_ZOO[shape]
+        x, wt, b = _conv_operands(rng, cin, cout, k, groups, h, n=3)
+        g = rng.standard_normal((3, cout, h, w)).astype(np.float32)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            wtt = Tensor(wt, requires_grad=True)
+            out = F.conv2d(xt, wtt, Tensor(b), padding=k // 2, groups=groups)
+            out.backward(Tensor(g))
+            return out.data, xt.grad.data, wtt.grad.data
+
+        got = run()
+        monkeypatch.setattr(F, "_im2col", tap_loop_im2col)
+        want = run()
+        for a, b_ in zip(got, want):
+            assert a.tobytes() == b_.tobytes()
+
+    @pytest.mark.parametrize("shape", sorted(SAME_ZOO))
+    def test_conv2d_lanes_bytes_are_the_tap_loop(self, rng, monkeypatch, shape):
+        cin, cout, k, groups, (h, w) = SAME_ZOO[shape]
+        x, wt, b = _conv_operands(rng, cin, cout, k, groups, h, n=4)
+        weight = Tensor(wt)
+        lanes = []
+        for row in (0, 2, 2, 3):
+            coords = tuple(int(rng.integers(0, d)) for d in weight.shape)
+            lanes.append((row, coords, weight.data[coords] * -2.0))
+
+        def run():
+            return F.conv2d_lanes(Tensor(x), weight, Tensor(b), padding=k // 2,
+                                  groups=groups, lanes=lanes)
+
+        got = run()
+        monkeypatch.setattr(F, "_im2col", tap_loop_im2col)
+        assert got.tobytes() == run().tobytes()
 
 
 class TestPooling:
