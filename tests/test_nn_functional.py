@@ -195,6 +195,37 @@ class TestConv2d:
         with pytest.raises(NotImplementedError):
             F.conv2d(x, w, None, dilation=2)
 
+    @pytest.mark.parametrize("w_shape,kwargs,error,match", [
+        ((2, 4, 3, 3), {}, ValueError, "channels"),
+        ((1, 3, 7, 7), {}, ValueError, "empty output"),
+        ((4, 1, 3, 3), {"groups": 3}, ValueError, "divisible"),
+        ((1, 3, 3, 3), {"stride": [1, 1, 1]}, ValueError, "pair"),
+        ((1, 3, 3, 3), {"dilation": [2, 2]}, NotImplementedError, "dilation"),
+    ], ids=["channels", "empty", "groups", "stride-triple", "dilation"])
+    def test_invalid_geometry_raises_on_every_call(self, rng, w_shape, kwargs, error, match):
+        # The geometry is memoised; a call that raised must not be.
+        x = Tensor(rng.standard_normal((1, 3, 5, 5)).astype(np.float32))
+        w = Tensor(rng.standard_normal(w_shape).astype(np.float32))
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                F.conv2d(x, w, None, **kwargs)
+            with pytest.raises(error, match=match):
+                F.conv2d_lanes(x, w, None, lanes=[(0, (0, 0, 0, 0), 1.0)], **kwargs)
+
+    @pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 2), (1, 1)),
+                                                ((1, 2), (2, 0)), ((2, 1), (0, 0))])
+    def test_list_and_tuple_arguments_give_the_same_bytes(self, rng, stride, padding):
+        x, w, b = _conv_operands(rng, 4, 6, 3, 1, 8, n=2)
+        lanes = [(1, (2, 1, 0, 2), -3.0)]
+        for as_list in (False, True, False):
+            kwargs = ({"stride": list(stride), "padding": list(padding)} if as_list
+                      else {"stride": stride, "padding": padding})
+            out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), **kwargs).data
+            rows = F.conv2d_lanes(Tensor(x), Tensor(w), Tensor(b), lanes=lanes, **kwargs)
+            if not as_list:
+                want = out.tobytes(), rows.tobytes()
+            assert (out.tobytes(), rows.tobytes()) == want
+
     def test_grouped_conv_gradients(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32),
                    requires_grad=True)
@@ -586,6 +617,49 @@ class TestPooling:
         assert out.shape == (2, 3, 1, 1)
         np.testing.assert_allclose(out.data[..., 0, 0], x.mean(axis=(2, 3)), rtol=1e-5)
 
+    @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (3, 1, 1), (3, 2, 0)])
+    def test_avg_pool_on_a_strided_slice_is_the_contiguous_copy(self, rng, kernel, stride,
+                                                                 padding):
+        # The window view is built on a C-contiguous base.
+        x = rng.standard_normal((2, 6, 9, 18)).astype(np.float32)[:, ::2, :, ::2]
+        assert not x.flags.c_contiguous
+        g = rng.standard_normal((2, 3, (9 + 2 * padding - kernel) // stride + 1,
+                                 (9 + 2 * padding - kernel) // stride + 1)).astype(np.float32)
+        results = []
+        for data in (x, x.copy()):
+            xt = Tensor(data, requires_grad=True)
+            out = F.avg_pool2d(xt, kernel, stride, padding)
+            out.backward(Tensor(g))
+            results.append((out.data.tobytes(), xt.grad.data.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    def test_list_and_tuple_arguments_give_the_same_bytes(self, rng, pool):
+        x = Tensor(rng.standard_normal((2, 3, 9, 9)).astype(np.float32))
+        want = pool(x, (3, 2), (2, 1), (1, 0)).data.tobytes()
+        assert pool(x, [3, 2], [2, 1], [1, 0]).data.tobytes() == want
+        assert pool(x, [3, 2], None, [1, 1]).data.tobytes() == pool(
+            x, (3, 2), (3, 2), (1, 1)).data.tobytes()
+
+    def test_overlapping_views_are_read_only(self, rng, monkeypatch):
+        views = []
+        view = F._view
+
+        def keep(*args, **kwargs):
+            views.append(view(*args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(F, "_view", keep)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+        F.conv2d(x, w, None, padding=1)  # shifted-plane taps
+        F.avg_pool2d(x, 3, 1)  # overlapping windows
+        assert [v.ndim for v in views] == [5, 6]
+        for v in views:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                v[(0,) * v.ndim] = 1
+
 
 class TestUpsample:
     def test_nearest_doubling(self):
@@ -709,6 +783,30 @@ class TestBatchNormEval:
             if want is not None:
                 np.testing.assert_allclose(got.grad.data, want.grad.data,
                                            rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("c,hw", [(8, 32), (16, 16), (32, 8), (64, 4)])
+    @pytest.mark.parametrize(
+        "dtype,stat_dtype",
+        [(np.float32, np.float32), (np.float16, np.float32), (np.float16, np.float64)],
+        ids=["fp32", "fp16-input", "fp16-input-fp64-stats"])
+    def test_forward_is_bitwise_the_composed_op_at_zoo_shapes(self, rng, batch, c, hw,
+                                                               dtype, stat_dtype):
+        # ±0, ±1, ±inf and signed NaN payloads in x (a signalling NaN raises
+        # "invalid", which campaign forwards ignore); the running statistics
+        # take the Tensor constructor's float64 -> float32 rule.
+        x = special_conv_input(rng, (batch, c, hw, hw), dtype)
+        rm = rng.standard_normal(c).astype(stat_dtype)
+        rv = rng.uniform(0.5, 2.0, c).astype(stat_dtype)
+        w = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        b = rng.standard_normal(c).astype(np.float32)
+        tx, tw, tb = (Tensor(a, dtype=a.dtype) for a in (x, w, b))
+        with np.errstate(invalid="ignore"):
+            out = F.batch_norm(tx, Tensor(rm, dtype=stat_dtype),
+                               Tensor(rv, dtype=stat_dtype), tw, tb)
+            expected = self._composed(tx, rm, rv, tw, tb)
+        assert out.dtype == expected.dtype
+        assert out.data.tobytes() == expected.data.tobytes()
 
     def test_gradients_match_finite_differences(self, rng):
         x, rm, rv, w, b = self._operands(rng, (2, 3, 3, 3), True)
