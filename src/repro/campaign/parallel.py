@@ -53,11 +53,9 @@ chunks (:meth:`InjectionCampaign.run
 order-independent: per-layer tallies and per-chunk perf deltas are
 integer sums, the worker's rows republish on the run's bus, where the
 observe sink buffers events by plan position (``index``) and writes
-them in serial order and the profiler adopts worker spans as per-pid
-Chrome-trace lanes (``perf_counter`` reads ``CLOCK_MONOTONIC``, which is
-system-wide on Linux, so forked workers share the parent's timeline),
-and a retried chunk's duplicate completion is dropped whole
-(re-executions are bitwise identical).
+them in serial order and any other reader attached to the bus sees them
+tagged with the worker's id, and a retried chunk's duplicate completion
+is dropped whole (re-executions are bitwise identical).
 """
 
 from __future__ import annotations
@@ -107,11 +105,11 @@ def _worker_main(campaign, wid, conn, run):
     completed chunk with exactly one ``("chunk", id, record, elapsed_s,
     rows)`` message: ``record`` is the chunk's journal record, ``elapsed_s``
     its wall time, and ``rows`` what the chunk published on this worker's
-    private bus — full observe events, the clean-capture count, and this
-    process's profiler spans tagged with its pid.  A worker that dies
-    mid-campaign has already shipped everything it completed.  A chunk whose execution
-    raises is reported as ``chunk_failed`` and the worker moves on; the
-    parent decides between retry and quarantine.
+    private bus — full observe events, the clean-capture count, and
+    whatever else a reader of the run published there.  A worker that
+    dies mid-campaign has already shipped everything it completed.  A
+    chunk whose execution raises is reported as ``chunk_failed`` and the
+    worker moves on; the parent decides between retry and quarantine.
     """
     # The parent coordinates shutdown: a terminal Ctrl-C lands on the whole
     # process group, and workers must keep draining their current chunk
@@ -119,8 +117,6 @@ def _worker_main(campaign, wid, conn, run):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
-        from ..profile.export import span_records
-        from ..profile.profiler import NULL_PROFILER, Profiler
         from ..telemetry import TelemetryBus
 
         # The parent's bus forked along with the campaign, but a
@@ -130,10 +126,6 @@ def _worker_main(campaign, wid, conn, run):
         bus = campaign.telemetry = TelemetryBus()
         bus.add_consumer(lambda env: rows.append(
             (env["source"], env["kind"], env["data"], wid)))
-        profiling = campaign.profiler.enabled
-        campaign.profiler = Profiler() if profiling else NULL_PROFILER
-        if campaign._resume is not None:
-            campaign._resume.profiler = campaign.profiler
         tracer = run.tracer
         if tracer is not None:
             tracer.clean_captures = 0  # reported per chunk, folded by the parent
@@ -161,9 +153,6 @@ def _worker_main(campaign, wid, conn, run):
             record, elapsed_s = campaign._run_chunk(run, cid)
             if tracer is not None and tracer.clean_captures:
                 bus.publish("observe", "captures", tracer.clean_captures)
-            if profiling:
-                bus.publish("profile", "spans", {
-                    "pid": os.getpid(), "spans": span_records(campaign.profiler)})
             conn.send(("chunk", cid, record, elapsed_s, rows))
         except BaseException:
             conn.send(("chunk_failed", cid, traceback.format_exc()))
@@ -171,7 +160,6 @@ def _worker_main(campaign, wid, conn, run):
             # Whatever did not ship (a failed attempt's partial reports)
             # is dropped with the attempt.
             rows.clear()
-            campaign.profiler.reset()
             if tracer is not None:
                 tracer.clean_captures = 0
 
@@ -261,21 +249,17 @@ class ParallelCampaignExecutor:
         ctx = multiprocessing.get_context("fork")
         n_workers = min(self.workers, len(self.backlog))
         try:
-            with self.campaign.profiler.span(
-                    "campaign.parallel", cat="campaign", workers=n_workers,
-                    injections=run.n_injections) as pspan:
-                for wid in range(n_workers):
-                    self._spawn(ctx, run, wid)
+            for wid in range(n_workers):
+                self._spawn(ctx, run, wid)
+            try:
+                self._schedule(run, ctx)
+                self._stop_fleet(run, _JOIN_TIMEOUT_S)
+            except KeyboardInterrupt:
                 try:
-                    self._schedule(run, ctx)
-                    self._stop_fleet(run, _JOIN_TIMEOUT_S)
+                    self._stop_fleet(run, self.policy.drain_timeout_s)
                 except KeyboardInterrupt:
-                    try:
-                        self._stop_fleet(run, self.policy.drain_timeout_s)
-                    except KeyboardInterrupt:
-                        pass  # second interrupt: stop draining, terminate now
-                    raise
-                pspan.annotate(pids=[h.proc.pid for h in self.handles.values()])
+                    pass  # second interrupt: stop draining, terminate now
+                raise
         finally:
             for handle in self.handles.values():
                 if handle.proc.is_alive():
@@ -287,30 +271,28 @@ class ParallelCampaignExecutor:
         """Fold the fleet's recovery ledger into perf; set ``parallel_info``."""
         campaign = self.campaign
         handles = list(self.handles.values())
-        with campaign.profiler.span("campaign.merge", cat="campaign",
-                                    workers=len(handles)):
-            perf = campaign.perf
-            perf.chunk_retries += self.chunk_retries
-            perf.chunks_requeued += self.requeued
-            perf.chunks_quarantined += len(run.quarantined)
-            perf.worker_failures += self.worker_failures
-            perf.worker_respawns += self.respawns
-            campaign.parallel_info = {
-                "requested_workers": self.workers,
-                "workers": len(handles),
-                "wall_time_s": wall,
-                "per_worker_injections": [h.injections for h in handles],
-                "per_worker_pids": [int(h.proc.pid) for h in handles],
-                "retries": self.chunk_retries,
-                "requeued_chunks": self.requeued,
-                "quarantined_chunks": len(run.quarantined),
-                "quarantined": [
-                    {"chunk": cid, **info}
-                    for cid, info in sorted(run.quarantined.items())
-                ],
-                "worker_failures": self.worker_failures,
-                "worker_respawns": self.respawns,
-            }
+        perf = campaign.perf
+        perf.chunk_retries += self.chunk_retries
+        perf.chunks_requeued += self.requeued
+        perf.chunks_quarantined += len(run.quarantined)
+        perf.worker_failures += self.worker_failures
+        perf.worker_respawns += self.respawns
+        campaign.parallel_info = {
+            "requested_workers": self.workers,
+            "workers": len(handles),
+            "wall_time_s": wall,
+            "per_worker_injections": [h.injections for h in handles],
+            "per_worker_pids": [int(h.proc.pid) for h in handles],
+            "retries": self.chunk_retries,
+            "requeued_chunks": self.requeued,
+            "quarantined_chunks": len(run.quarantined),
+            "quarantined": [
+                {"chunk": cid, **info}
+                for cid, info in sorted(run.quarantined.items())
+            ],
+            "worker_failures": self.worker_failures,
+            "worker_respawns": self.respawns,
+        }
 
     def _spawn(self, ctx, run, wid):
         """Fork one worker (initial fleet or respawned replacement)."""

@@ -70,7 +70,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..profile.profiler import NULL_PROFILER
 from ..tensor import Tensor, no_grad
 
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
@@ -163,10 +162,6 @@ class CampaignResumeEngine:
         # and per row of the last replayed chunk the boundary it left at.
         self.segment_rows_skipped = 0
         self._row_exits = None
-        # Campaigns swap in their own profiler; spans are bitwise invisible
-        # (no RNG draws, no counting cache lookups) so profiled and
-        # unprofiled replays are identical.
-        self.profiler = NULL_PROFILER
         self.segmented = fi.segmented()
         self._modules = [m for _, m in fi._iter_instrumentable(fi.model)]
         self.chain = self.segmented is not None and self.segmented.is_chain
@@ -223,8 +218,7 @@ class CampaignResumeEngine:
         for layer_idx, module in enumerate(self._modules):
             handles.append(module.register_forward_hook(make_collector(layer_idx)))
         try:
-            with no_grad(), self.profiler.span(
-                    "resume.capture", cat="resume", batch=int(x.shape[0])):
+            with no_grad():
                 if self.chain:
                     out, bounds = self.segmented.capture(x)
                     boundaries = [b.data for b in bounds]
@@ -284,50 +278,47 @@ class CampaignResumeEngine:
         """
         if not self.available:
             raise RuntimeError("resume engine unavailable: trace could not anchor layers")
-        with self.profiler.span("resume.plan", cat="resume", layer=int(layer_idx),
-                                chunk=len(pool_indices)) as span:
-            s = self._segment_of_layer[layer_idx] if self.chain else None
-            stub_layers = self._stub_layers[layer_idx]
-            def keys_of(i):
-                keys = [("seg", s, i)] if self.chain and s > 0 else []
-                keys.extend(("act", j, i) for j in stub_layers)
-                return keys
+        s = self._segment_of_layer[layer_idx] if self.chain else None
+        stub_layers = self._stub_layers[layer_idx]
+        def keys_of(i):
+            keys = [("seg", s, i)] if self.chain and s > 0 else []
+            keys.extend(("act", j, i) for j in stub_layers)
+            return keys
 
-            unique = list(dict.fromkeys(pool_indices))
-            fetched = {}
-            missing = []
-            for i in unique:
-                rows = {key: self.cache.get(key) for key in keys_of(i)}
-                if any(v is None for v in rows.values()):
-                    missing.append(i)
-                else:
-                    fetched.update(rows)
-            span.annotate(refill=len(missing))
-            if missing:
-                self.warm(images[np.asarray(missing)], missing)
-                for i in missing:
-                    for key in keys_of(i):
-                        row = self.cache.peek(key)
-                        if row is None:
-                            # Budget too small to hold even this chunk's rows.
-                            return None
-                        fetched[key] = row
-
-            if not self.chain:
-                boundary = None
-            elif s > 0:
-                boundary = Tensor(np.stack([fetched[("seg", s, i)] for i in pool_indices]))
+        unique = list(dict.fromkeys(pool_indices))
+        fetched = {}
+        missing = []
+        for i in unique:
+            rows = {key: self.cache.get(key) for key in keys_of(i)}
+            if any(v is None for v in rows.values()):
+                missing.append(i)
             else:
-                boundary = Tensor(np.asarray(images[np.asarray(pool_indices)]))
-            stub_pairs = [
-                (
-                    self._modules[j],
-                    Tensor(np.stack([fetched[("act", j, i)] for i in pool_indices])),
-                )
-                for j in stub_layers
-            ]
-            skipped = layer_idx + 1  # every instrumentable layer <= target is skipped
-            return s, boundary, stub_pairs, skipped
+                fetched.update(rows)
+        if missing:
+            self.warm(images[np.asarray(missing)], missing)
+            for i in missing:
+                for key in keys_of(i):
+                    row = self.cache.peek(key)
+                    if row is None:
+                        # Budget too small to hold even this chunk's rows.
+                        return None
+                    fetched[key] = row
+
+        if not self.chain:
+            boundary = None
+        elif s > 0:
+            boundary = Tensor(np.stack([fetched[("seg", s, i)] for i in pool_indices]))
+        else:
+            boundary = Tensor(np.asarray(images[np.asarray(pool_indices)]))
+        stub_pairs = [
+            (
+                self._modules[j],
+                Tensor(np.stack([fetched[("act", j, i)] for i in pool_indices])),
+            )
+            for j in stub_layers
+        ]
+        skipped = layer_idx + 1  # every instrumentable layer <= target is skipped
+        return s, boundary, stub_pairs, skipped
 
     def replay(self, seg_index, boundary, pool_indices, site_layers):
         """Run a chain chunk from segment ``seg_index`` to its logits.

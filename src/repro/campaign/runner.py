@@ -33,7 +33,6 @@ from ..core.fault_injection import NeuronSite, WeightSite
 from ..core.injectors import _quant_for_layer, random_neuron_locations, random_weight_locations
 from ..perf import CampaignPerfCounters
 from ..profile.heartbeat import ProgressMeter, coerce_progress
-from ..profile.profiler import coerce_profiler
 from ..telemetry import TelemetryBus, coerce_bus
 from ..tensor import Tensor, no_grad
 from ..tensor import rng as _rng
@@ -137,19 +136,15 @@ class InjectionCampaign:
         either way; only forward count (and wall clock) changes.
     resume_budget_bytes:
         Memory budget for the activation checkpoint cache.
-    profiler:
-        Optional :class:`repro.profile.Profiler` (or ``True`` for a fresh
-        one).  When set, the campaign opens spans around its phases (pool
-        build, planning, each injection chunk, resume capture/plan,
-        observation) annotated with cache hit/miss/eviction deltas.
-        Profiling is bitwise invisible: outcomes, RNG stream, and cache
-        statistics are identical with and without it.
+
+    To profile a campaign's phases, build and run it inside
+    :func:`repro.profile.campaign_spans`.
     """
 
     def __init__(self, model, dataset, error_model=None, criterion="top1", batch_size=16,
                  input_shape=None, quantization=None, layer=None, pool_size=256,
                  network_name="model", rng=None, target="neuron", strategy="proportional",
-                 resume=True, resume_budget_bytes=DEFAULT_BUDGET_BYTES, profiler=None,
+                 resume=True, resume_budget_bytes=DEFAULT_BUDGET_BYTES,
                  layers=None, channels=None, lane_packing=True):
         if target not in ("neuron", "weight"):
             raise ValueError(f"target must be 'neuron' or 'weight', got {target!r}")
@@ -171,7 +166,6 @@ class InjectionCampaign:
         self.strategy = strategy
         self.rng = _rng.coerce_generator(rng)
         self.perf = CampaignPerfCounters()
-        self.profiler = coerce_profiler(profiler)
         self.observer = None  # set by run(observe=...), see repro.observe
         # The run's telemetry bus (repro.telemetry) for the duration of one
         # run(); a private one inside each forked worker.  Publishing only
@@ -194,7 +188,6 @@ class InjectionCampaign:
                        or (target == "weight" and self.lane_packing)):
             engine = CampaignResumeEngine(self.fi, resume_budget_bytes)
             if engine.available:
-                engine.profiler = self.profiler
                 self._resume = engine
         self.perf.resume_enabled = self._resume is not None
         # Lane-compatibility groups for neuron sites: the segment index of
@@ -218,8 +211,7 @@ class InjectionCampaign:
         self._resident_active = None
         self._resident_cache_key = None
         self.parallel_info = None  # set by parallel runs, see campaign.parallel
-        with self.profiler.span("campaign.pool", cat="campaign", pool_size=pool_size):
-            self._build_pool(pool_size)
+        self._build_pool(pool_size)
 
     def _build_pool(self, pool_size):
         """Pre-screen inputs: keep only ones the clean model gets right.
@@ -350,7 +342,6 @@ class InjectionCampaign:
         full forward.
         """
         idx = pool_idx[positions]
-        prof = self.profiler
         site_layers = ([int(layers[p]) for p in positions] if layers is not None
                        else [int(layer_idx)] * len(positions))
         resume_plan = None
@@ -364,10 +355,8 @@ class InjectionCampaign:
                 resume_plan = self._resume.plan_chunk(layer_idx, list(idx),
                                                       self.pool_images)
             if observer is not None:
-                with prof.span("campaign.observe", cat="campaign", phase="prepare",
-                               layer=layer_idx):
-                    observer.prepare_chunk(layer_idx, [int(i) for i in idx],
-                                           self.pool_images[idx])
+                observer.prepare_chunk(layer_idx, [int(i) for i in idx],
+                                       self.pool_images[idx])
         if self.target == "weight":
             sites = [
                 WeightSite(layer=site_layers[b], coords=coords[p],
@@ -396,25 +385,27 @@ class InjectionCampaign:
             # numerical bug, so the warnings are silenced here.
             with no_grad(), np.errstate(all="ignore"), observing:
                 if resume_plan is not None:
-                    seg_index, boundary, stub_pairs, skipped = resume_plan
-                    mode = "stub" if seg_index is None else "chain"
-                    with prof.span("campaign.replay", cat="campaign", mode=mode,
-                                   layer=layer_idx, skipped=skipped):
-                        with self._resume.segmented.stub_outputs(stub_pairs):
-                            if seg_index is None:
-                                # Stub mode: the model's own forward re-runs,
-                                # but every instrumentable layer <= target
-                                # returns its cached clean output.
-                                logits = model(Tensor(self.pool_images[idx])).data
-                            else:
-                                logits = self._resume.replay(
-                                    seg_index, boundary, idx, site_layers).data
-                    return logits, skipped
-                with prof.span("campaign.forward", cat="campaign", layer=layer_idx):
-                    logits = model(Tensor(self.pool_images[idx])).data
-                return logits, None
+                    return (self._replay(model, idx, site_layers, resume_plan),
+                            resume_plan[3])
+                return self._forward(model, idx), None
         finally:
             self.fi.reset()
+
+    def _replay(self, model, idx, site_layers, resume_plan):
+        """Resume pool rows ``idx`` from the checkpoint ``resume_plan``
+        names (see :meth:`CampaignResumeEngine.plan_chunk`); their logits."""
+        seg_index, boundary, stub_pairs, _ = resume_plan
+        with self._resume.segmented.stub_outputs(stub_pairs):
+            if seg_index is None:
+                # Stub mode: the model's own forward re-runs, but every
+                # instrumentable layer <= target returns its cached clean
+                # output.
+                return model(Tensor(self.pool_images[idx])).data
+            return self._resume.replay(seg_index, boundary, idx, site_layers).data
+
+    def _forward(self, model, idx):
+        """A full forward of pool rows ``idx`` through ``model``; its logits."""
+        return model(Tensor(self.pool_images[idx])).data
 
     def _run_chunk(self, run, cid):
         """Execute chunk ``cid`` of ``run``'s plan.
@@ -438,24 +429,16 @@ class InjectionCampaign:
         positions = run.chunks[cid]
         pool_idx, layers, coords, seeds = run.plan
         observer = run.tracer
-        prof = self.profiler
         layer_idx = int(layers[positions[0]])
         idx = pool_idx[positions]
         engine_before = self._engine_counts()
-        with prof.span("campaign.chunk", cat="campaign", layer=layer_idx,
-                       injections=len(positions)) as chunk_span:
-            chunk_started = time.perf_counter()
-            logits, skipped = self._execute_chunk(
-                layer_idx, positions, pool_idx, coords, seeds,
-                observer=observer, layers=layers)
-            chunk_elapsed = time.perf_counter() - chunk_started
-            engine = self._engine_delta(engine_before)
-            resumed = skipped is not None
-            chunk_span.annotate(resumed=resumed)
-            if self._resume is not None:
-                chunk_span.annotate(cache_hits=engine["cache_hits"],
-                                    cache_misses=engine["cache_misses"],
-                                    cache_evictions=engine["cache_evictions"])
+        chunk_started = time.perf_counter()
+        logits, skipped = self._execute_chunk(
+            layer_idx, positions, pool_idx, coords, seeds,
+            observer=observer, layers=layers)
+        chunk_elapsed = time.perf_counter() - chunk_started
+        engine = self._engine_delta(engine_before)
+        resumed = skipped is not None
         skipped = skipped or 0
         labels = self.pool_labels[idx]
         clean_logits = self.pool_logits[idx]
@@ -476,17 +459,15 @@ class InjectionCampaign:
                              margin(logits, labels).tolist()))
         ]
         if observer is not None:
-            with prof.span("campaign.observe", cat="campaign",
-                           phase="record", layer=layer_idx):
-                observer.record_chunk(
-                    rows=rows,
-                    pool_indices=idx.tolist(),
-                    seeds=seeds[positions].tolist(),
-                    clean_predicted=clean_logits.argmax(axis=1),
-                    logits=logits,
-                    resumed=resumed,
-                    latency_s=chunk_elapsed,
-                )
+            observer.record_chunk(
+                rows=rows,
+                pool_indices=idx.tolist(),
+                seeds=seeds[positions].tolist(),
+                clean_predicted=clean_logits.argmax(axis=1),
+                logits=logits,
+                resumed=resumed,
+                latency_s=chunk_elapsed,
+            )
         record = {
             "layer": layer_idx,
             "injections": len(positions),
@@ -628,7 +609,7 @@ class InjectionCampaign:
         lifecycle, one ``campaign/chunk`` progress envelope per folded
         chunk, recovery/journal events, worker liveness, observe events —
         and every reader consumes from there: the progress reporter, the
-        observe sink, the profiler, and whatever the caller attached
+        observe sink, and whatever the caller attached
         (stream server, sampler, flight recorder, ``repro top``).
         Publishing never perturbs the science: outcomes, RNG stream, and
         cache statistics are bitwise identical with any reader attached.
@@ -671,8 +652,7 @@ class InjectionCampaign:
                 self.observer = tracer
             # The run's readers, attached for this run only.
             consumers = [consume for consume in (
-                progress, tracer.consume if tracer is not None else None,
-                self.profiler.consume if self.profiler.enabled else None)
+                progress, tracer.consume if tracer is not None else None)
                 if consume is not None]
             for consume in consumers:
                 bus.add_consumer(consume)
@@ -684,9 +664,7 @@ class InjectionCampaign:
                 "journal": str(journal) if journal is not None else None,
             })
             started = time.perf_counter()
-            with self.profiler.span("campaign.plan", cat="campaign",
-                                    injections=n_injections):
-                plan = self._plan(n_injections)
+            plan = self._plan(n_injections)
             chunks = self._chunks(plan[1], n_injections)
             completed = {}
             if journal is not None:

@@ -189,7 +189,8 @@ def _profile_runtime(args, model_name):
     from . import models, tensor
     from .campaign import InjectionCampaign
     from .data import SelfLabelledDataset, SyntheticClassification
-    from .profile import Profiler, profile_model, text_table, write_artifacts
+    from .profile import (Profiler, campaign_spans, profile_model, text_table,
+                          write_artifacts)
 
     try:
         models.dataset_preset(args.dataset)
@@ -214,19 +215,19 @@ def _profile_runtime(args, model_name):
             dataset = SelfLabelledDataset(
                 net, SyntheticClassification(num_classes=classes, image_size=size,
                                              seed=args.seed + 1))
-            profiler = Profiler()
-            campaign = InjectionCampaign(
-                net, dataset, batch_size=args.batch_size,
-                pool_size=max(32, 2 * args.batch_size), rng=args.seed,
-                network_name=model_name, profiler=profiler)
-            bus = server = sampler = None
-            if args.stream:
-                bus, server, sampler = _telemetry_start(args, campaign)
-            try:
-                result = campaign.run(args.campaign, progress=True,
-                                      workers=args.workers, telemetry=bus)
-            finally:
-                _telemetry_stop(server, sampler)
+            with campaign_spans(Profiler()) as profiler:
+                campaign = InjectionCampaign(
+                    net, dataset, batch_size=args.batch_size,
+                    pool_size=max(32, 2 * args.batch_size), rng=args.seed,
+                    network_name=model_name)
+                bus = server = sampler = None
+                if args.stream:
+                    bus, server, sampler = _telemetry_start(args, campaign)
+                try:
+                    result = campaign.run(args.campaign, progress=True,
+                                          workers=args.workers, telemetry=bus)
+                finally:
+                    _telemetry_stop(server, sampler)
             meta = {
                 "mode": "campaign",
                 "model": model_name,

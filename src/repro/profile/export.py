@@ -5,7 +5,8 @@ complete events, microsecond timestamps) and loads directly in Perfetto
 or ``chrome://tracing``.  The text table and JSON summary aggregate spans
 by their root-to-leaf name path, reporting per-path call counts, total
 and self time, allocation bytes, and profiler overhead — self-times are
-disjoint, so any subtree's rows sum to ≤ its wall clock.
+disjoint, so any subtree's rows sum to ≤ its wall clock (worker lanes run
+beside the parent's ``campaign.parallel`` span, not inside its sum).
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ def span_records(profiler):
     """Flatten a profiler's spans into picklable dicts.
 
     The wire format parallel campaign workers ship their trace home in:
-    plain dicts with absolute ``perf_counter`` start/end times, adopted by
-    the parent's :meth:`Profiler.consume` and rendered by
+    plain dicts with absolute ``perf_counter`` start/end times and the
+    index of their parent record (None for a root), adopted by the
+    parent's :meth:`Profiler.consume` and rendered by
     :func:`chrome_trace_events` as a per-pid lane.
     """
+    index = {id(span): i for i, span in enumerate(profiler.spans)}
     return [
         {
             "name": span.name,
@@ -36,6 +39,7 @@ def span_records(profiler):
             "self_s": span.self_seconds,
             "alloc_bytes": span.alloc_bytes,
             "overhead_s": span.overhead_s,
+            "parent": None if span.parent is None else index[id(span.parent)],
         }
         for span in profiler.spans
     ]
@@ -49,39 +53,16 @@ def chrome_trace_events(profiler, pid=1, tid=1):
     under their own pid — one Perfetto view shows every lane of a
     multi-process campaign.
     """
-    spans = list(profiler.spans)
-    foreign = list(getattr(profiler, "foreign_spans", ()))
-    starts = [s.start for s in spans] + [r["start"] for r in foreign]
-    origin = min(starts, default=0.0)
-    events = [
-        {"ph": "M", "pid": pid, "tid": tid, "ts": 0,
-         "name": "process_name", "args": {"name": "repro.profile"}},
-    ]
-    seen_pids = {}
-    for record in foreign:
-        seen_pids.setdefault(record["pid"],
-                             record.get("process_name") or f"repro.worker[{record['pid']}]")
-    for fpid, name in sorted(seen_pids.items()):
-        events.append({"ph": "M", "pid": fpid, "tid": tid, "ts": 0,
-                       "name": "process_name", "args": {"name": name}})
-    for span in spans:
-        args = dict(span.args)
-        args["self_us"] = round(span.self_seconds * 1e6, 3)
-        if span.alloc_bytes:
-            args["alloc_bytes"] = int(span.alloc_bytes)
-        if span.overhead_s:
-            args["profiler_overhead_us"] = round(span.overhead_s * 1e6, 3)
-        events.append({
-            "ph": "X",
-            "name": span.name,
-            "cat": span.cat or "span",
-            "ts": round((span.start - origin) * 1e6, 3),
-            "dur": round(span.duration_s * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        })
-    for record in foreign:
+    records = ([dict(record, pid=pid) for record in span_records(profiler)]
+               + profiler.foreign_spans)
+    origin = min((record["start"] for record in records), default=0.0)
+    lanes = {pid: "repro.profile"}
+    lanes.update(sorted((record["pid"], record["process_name"])
+                        for record in profiler.foreign_spans))
+    events = [{"ph": "M", "pid": lane, "tid": tid, "ts": 0,
+               "name": "process_name", "args": {"name": name}}
+              for lane, name in lanes.items()]
+    for record in records:
         args = dict(record["args"])
         args["self_us"] = round(record["self_s"] * 1e6, 3)
         if record["alloc_bytes"]:
@@ -114,33 +95,45 @@ def write_chrome_trace(profiler, path):
 
 
 def _aggregate_rows(profiler):
-    """Fold spans into per-path rows, preserving first-seen (tree) order."""
+    """Fold spans into per-path rows, each after its parent's row, siblings
+    in first-seen order.
+
+    Worker spans (``profiler.foreign_spans``) fold under one root row per
+    worker lane, ``repro.worker[i]``: its count is 1, its total the wall
+    clock of the lane's root spans, and its self time zero (the lane is
+    not a span).
+    """
     rows = {}
-    order = []
-    for root in profiler.roots:
-        for span in root.walk():
-            key = span.path()
-            row = rows.get(key)
-            if row is None:
-                row = {
-                    "path": "/".join(key),
-                    "name": span.name,
-                    "depth": len(key) - 1,
-                    "cat": span.cat,
-                    "count": 0,
-                    "total_s": 0.0,
-                    "self_s": 0.0,
-                    "alloc_bytes": 0,
-                    "overhead_s": 0.0,
-                }
-                rows[key] = row
-                order.append(key)
-            row["count"] += 1
-            row["total_s"] += span.duration_s
-            row["self_s"] += span.self_seconds
-            row["alloc_bytes"] += span.alloc_bytes
-            row["overhead_s"] += span.overhead_s
-    return [rows[key] for key in order]
+
+    def row(key, cat):
+        return rows.setdefault(key, {
+            "path": "/".join(key), "name": key[-1], "depth": len(key) - 1,
+            "cat": cat, "count": 0, "total_s": 0.0, "self_s": 0.0,
+            "alloc_bytes": 0, "overhead_s": 0.0})
+
+    for records in (span_records(profiler), profiler.foreign_spans):
+        paths = []  # per record; a parent record precedes its children
+        for record in records:
+            duration = record["end"] - record["start"]
+            if record["parent"] is not None:
+                key = paths[record["parent"]]
+            elif "process_name" in record:
+                key = (record["process_name"],)
+                lane = row(key, "worker")
+                lane["count"] = 1
+                lane["total_s"] += duration
+            else:
+                key = ()
+            key += (record["name"],)
+            paths.append(key)
+            out = row(key, record["cat"])
+            out["count"] += 1
+            out["total_s"] += duration
+            for field in ("self_s", "alloc_bytes", "overhead_s"):
+                out[field] += record[field]
+    seen = {key: i for i, key in enumerate(rows)}
+    return [rows[key] for key in sorted(
+        rows, key=lambda key: [seen[key[:d]] for d in range(1, len(key) + 1)])]
 
 
 def summary(profiler, meta=None):
@@ -154,7 +147,7 @@ def summary(profiler, meta=None):
         "schema": SUMMARY_SCHEMA_VERSION,
         "total_s": profiler.total_seconds,
         "overhead_s": profiler.overhead_s,
-        "num_spans": len(profiler.spans),
+        "num_spans": len(profiler.spans) + len(profiler.foreign_spans),
         "spans": rows,
     }
     if meta:

@@ -9,9 +9,10 @@ the repo relies on:
 
 * **Opt-in and bitwise invisible.**  The tracer draws from no random
   generator and never touches model state, so anything profiled produces
-  bit-identical outputs.  The shared :data:`NULL_PROFILER` gives call
-  sites an always-valid object whose ``span()`` is a reused no-op context
-  manager — the disabled path costs one method call per (coarse) phase.
+  bit-identical outputs.  Program code opens no spans itself: spans come
+  from hooks (:func:`~repro.profile.instrument`) or from call sites
+  wrapped while :func:`~repro.profile.campaign_spans` is open, so an
+  unprofiled run executes no profiling code at all.
 * **Self-time, not just totals.**  ``Span.self_seconds`` subtracts child
   spans, so a hierarchical report sums to ≤ the enclosing wall clock.
 * **Honest overhead accounting.**  The bookkeeping the profiler performs
@@ -107,8 +108,6 @@ class _SpanContext:
 
     def __enter__(self):
         prof = self.profiler
-        if not prof.enabled:
-            return _NULL_SPAN
         t0 = prof.clock()
         span = Span(self.name, self.cat, self.args)
         span.parent = prof._stack[-1] if prof._stack else None
@@ -129,8 +128,6 @@ class _SpanContext:
 
     def __exit__(self, *exc_info):
         span = self._span
-        if span is None:
-            return False
         prof = self.profiler
         span.end = prof.clock()
         prof._stack.pop()
@@ -168,7 +165,6 @@ class Profiler:
     def __init__(self, clock=time.perf_counter, track_allocations=True):
         self.clock = clock
         self.track_allocations = track_allocations
-        self.enabled = True
         self.roots = []
         self.spans = []  # every span, in start order
         self.foreign_spans = []  # worker span records, see consume()
@@ -198,13 +194,18 @@ class Profiler:
 
         A worker's ``profile/spans`` row (:func:`~repro.profile.export.span_records`
         with absolute ``perf_counter`` times, a timeline forked workers
-        share) joins :attr:`foreign_spans` as that worker's pid lane.
+        share) joins :attr:`foreign_spans` as that worker's pid lane.  Each
+        record's ``parent`` index, relative to its row, is rebased onto
+        :attr:`foreign_spans`.
         """
         if (envelope["source"], envelope["kind"]) == ("profile", "spans"):
             data = envelope["data"]
             name = f"repro.worker[{envelope['worker']}]"
+            base = len(self.foreign_spans)
             self.foreign_spans.extend(
-                dict(record, pid=int(data["pid"]), process_name=name)
+                dict(record, pid=int(data["pid"]), process_name=name,
+                     parent=None if record["parent"] is None
+                     else base + record["parent"])
                 for record in data["spans"])
 
     def reset(self):
@@ -221,97 +222,3 @@ class Profiler:
         return (f"Profiler({len(self.spans)} spans, "
                 f"{self.total_seconds * 1e3:.3f}ms recorded, "
                 f"overhead {self.overhead_s * 1e3:.3f}ms)")
-
-
-class _NullSpan:
-    """Inert span: accepts annotations, records nothing."""
-
-    __slots__ = ()
-
-    name = ""
-    cat = ""
-    start = end = 0.0
-    alloc_bytes = 0
-    overhead_s = 0.0
-    duration_s = 0.0
-    self_seconds = 0.0
-
-    def annotate(self, **kwargs):
-        return self
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullSpanContext:
-    """Shared no-op context manager handed out by :class:`NullProfiler`."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def __call__(self, fn):
-        return fn
-
-
-_NULL_CONTEXT = _NullSpanContext()
-
-
-class NullProfiler:
-    """Disabled profiler: every operation is a reused no-op.
-
-    Call sites hold one of these instead of branching on ``None``; the
-    hot-path cost of "profiling off" is a method call returning a shared
-    singleton.  ``enabled`` is always False and cannot be flipped — enable
-    profiling by passing a real :class:`Profiler` instead.
-    """
-
-    enabled = False
-    track_allocations = False
-    overhead_s = 0.0
-
-    def __init__(self):
-        self.roots = ()
-        self.spans = ()
-        self.foreign_spans = ()
-
-    def span(self, name, cat="", **args):
-        return _NULL_CONTEXT
-
-    @property
-    def current(self):
-        return None
-
-    @property
-    def total_seconds(self):
-        return 0.0
-
-    def reset(self):
-        return self
-
-    def __repr__(self):
-        return "NullProfiler()"
-
-
-NULL_PROFILER = NullProfiler()
-
-
-def coerce_profiler(profiler):
-    """Normalise a ``profiler=`` argument.
-
-    ``None``/``False`` → the shared :data:`NULL_PROFILER`; ``True`` → a
-    fresh :class:`Profiler`; a profiler instance passes through.
-    """
-    if profiler is None or profiler is False:
-        return NULL_PROFILER
-    if profiler is True:
-        return Profiler()
-    if isinstance(profiler, (Profiler, NullProfiler)):
-        return profiler
-    raise TypeError(
-        f"profiler must be a Profiler, a bool, or None; got {type(profiler).__name__}"
-    )

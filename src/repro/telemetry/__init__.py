@@ -4,8 +4,8 @@ One campaign run, one :class:`TelemetryBus`, one envelope schema
 (:data:`ENVELOPE_SCHEMA`).  Producers across the codebase (campaign
 fold, parallel executor, recovery journal, observe tracer, scenario
 engine, sampler) publish; readers consume synchronously (the
-:class:`FlightRecorder`, the progress reporter, the observe sink, the
-profiler) or subscribe through bounded queues
+:class:`FlightRecorder`, the progress reporter, the observe sink, a
+:func:`repro.profile.campaign_spans` profiler) or subscribe through bounded queues
 (:class:`TelemetryServer`, :class:`TelemetrySampler`, and through the
 server ``repro top``).  Publishing never blocks on a subscriber and
 never perturbs the science — see ``bus.py`` for the invariants.

@@ -10,8 +10,9 @@ clocks).  Readers take them one of two ways:
 * **Synchronous consumers** (:meth:`TelemetryBus.add_consumer`) are
   called with every envelope inside ``publish``, losslessly and in
   publish order.  An attached flight recorder is always the first; a
-  run adds its progress reporter, its observe tracer and its profiler
-  for the duration of the run.  A consumer's exception propagates out of
+  run adds its progress reporter and its observe tracer for the
+  duration of the run, and :func:`repro.profile.campaign_spans` adds
+  its profiler's span collector.  A consumer's exception propagates out of
   ``publish`` exactly as a direct call would — that is how an observe
   sink error surfaces.  The sampler publishes from its own thread, so a
   consumer can run on that thread: each one filters by ``source`` and

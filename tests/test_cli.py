@@ -198,6 +198,25 @@ class TestProfileRuntimeCommand:
         assert "metrics" not in summary
         assert summary["meta"]["perf"]["injections"] == 4
 
+    def test_two_worker_campaign_profile_has_three_pid_lanes(self, tmp_path, capsys):
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        assert main(["profile", "--model", "alexnet", "--scale", "smoke",
+                     "--campaign", "8", "--batch-size", "4", "--workers", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        trace = json.loads((tmp_path / "alexnet_trace.json").read_text())
+        events = trace["traceEvents"]
+        lanes = {e["pid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "process_name"}
+        assert sorted(lanes.values()) == [
+            "repro.profile", "repro.worker[0]", "repro.worker[1]"]
+        assert {e["pid"] for e in events if e["ph"] == "X"} == set(lanes)
+        chunks = {e["pid"] for e in events
+                  if e["ph"] == "X" and e["name"] == "campaign.chunk"}
+        assert len(chunks) == 2  # both workers ran chunks, the parent none
+
     def test_campaign_profile_defaults_to_the_inject_batch(self, tmp_path, capsys):
         """Without --batch-size a campaign profile packs lanes like inject."""
         metrics = tmp_path / "m.prom"

@@ -30,7 +30,7 @@ from repro.core import SingleBitFlip
 from repro.data import SelfLabelledDataset as SelfLabelled
 from repro.data import SyntheticClassification
 from repro.observe import PropagationTracer, aggregate, load_events
-from repro.profile import Profiler, chrome_trace_events
+from repro.profile import Profiler, campaign_spans, chrome_trace_events
 from repro.scenario import sample_resident_faults
 
 from .test_resume import REGISTRY
@@ -213,8 +213,9 @@ class TestParallelTelemetry:
         """A profiled 2-worker campaign exports one trace lane per process."""
         model, dataset, _ = trained_tiny_model
         prof = Profiler()
-        campaign = _campaign(model, dataset, profiler=prof)
-        campaign.run(self.N, workers=2)
+        with campaign_spans(prof):
+            campaign = _campaign(model, dataset)
+            campaign.run(self.N, workers=2)
         info = campaign.parallel_info
         assert info["workers"] == 2
         events = chrome_trace_events(prof)
@@ -233,8 +234,9 @@ class TestParallelTelemetry:
     def test_parent_spans_cover_plan_fanout_and_merge(self, trained_tiny_model):
         model, dataset, _ = trained_tiny_model
         prof = Profiler()
-        campaign = _campaign(model, dataset, profiler=prof)
-        campaign.run(self.N, workers=2)
+        with campaign_spans(prof):
+            campaign = _campaign(model, dataset)
+            campaign.run(self.N, workers=2)
         names = {s.name for s in prof.spans}
         assert {"campaign.plan", "campaign.parallel", "campaign.merge"} <= names
         fanout, = [s for s in prof.spans if s.name == "campaign.parallel"]

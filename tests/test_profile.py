@@ -2,28 +2,37 @@
 
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro import tensor as T
-from repro.campaign import InjectionCampaign
+from repro.campaign import CampaignInterrupted, InjectionCampaign
+from repro.core import SingleBitFlip, StuckAt
+from repro.data import SelfLabelledDataset
 from repro.profile import (
     CampaignHeartbeat,
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
+    campaign_spans,
     chrome_trace_events,
-    coerce_profiler,
     coerce_progress,
     instrument,
     profile_forward,
+    span_records,
     summary,
     text_table,
     write_artifacts,
 )
+from repro.profile.instrument import _campaign_sites
 from repro.telemetry import make_envelope
+
+from .test_resume import NonChainNet
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable")
 
 
 class FakeClock:
@@ -168,37 +177,6 @@ class TestSpanTracer:
                 prof.reset()
 
 
-class TestNullProfiler:
-    def test_records_nothing(self):
-        with NULL_PROFILER.span("anything", cat="x", key=1) as span:
-            span.annotate(more=2)
-        assert NULL_PROFILER.spans == ()
-        assert NULL_PROFILER.roots == ()
-        assert NULL_PROFILER.total_seconds == 0.0
-        assert NULL_PROFILER.current is None
-        assert not NULL_PROFILER.enabled
-
-    def test_span_context_is_shared(self):
-        assert NULL_PROFILER.span("a") is NULL_PROFILER.span("b")
-
-    def test_decorator_is_identity(self):
-        def fn():
-            return 42
-
-        assert NULL_PROFILER.span("x")(fn) is fn
-
-    def test_coerce_profiler(self):
-        assert coerce_profiler(None) is NULL_PROFILER
-        assert coerce_profiler(False) is NULL_PROFILER
-        assert isinstance(coerce_profiler(True), Profiler)
-        prof = Profiler(track_allocations=False)
-        assert coerce_profiler(prof) is prof
-        null = NullProfiler()
-        assert coerce_profiler(null) is null
-        with pytest.raises(TypeError, match="profiler"):
-            coerce_profiler("yes")
-
-
 class TestInstrument:
     def test_per_layer_spans_nest_into_the_module_tree(self, tiny_conv_net):
         prof = Profiler(track_allocations=False)
@@ -288,6 +266,32 @@ class TestExport:
         assert "recorded wall clock" in table
         assert "profiler overhead" in table
 
+    def test_consume_rebases_worker_parent_indices(self):
+        def spans_row(wid, depth):
+            worker = Profiler(clock=FakeClock(), track_allocations=False)
+            with worker.span("campaign.chunk"):
+                with worker.span("resume.plan"):
+                    if depth > 2:
+                        with worker.span("resume.capture"):
+                            pass
+            return make_envelope("run", 0, "profile", "spans",
+                                 {"pid": 100 + wid, "spans": span_records(worker)},
+                                 worker=wid)
+
+        prof = Profiler(track_allocations=False)
+        prof.consume(spans_row(1, 2))
+        prof.consume(spans_row(0, 3))
+        assert [r["parent"] for r in prof.foreign_spans] == [None, 0, None, 2, 3]
+        assert [r["process_name"] for r in prof.foreign_spans] == \
+            ["repro.worker[1]"] * 2 + ["repro.worker[0]"] * 3
+        paths = [r["path"] for r in summary(prof)["spans"]]
+        assert paths == [
+            "repro.worker[1]", "repro.worker[1]/campaign.chunk",
+            "repro.worker[1]/campaign.chunk/resume.plan",
+            "repro.worker[0]", "repro.worker[0]/campaign.chunk",
+            "repro.worker[0]/campaign.chunk/resume.plan",
+            "repro.worker[0]/campaign.chunk/resume.plan/resume.capture"]
+
     def test_write_artifacts_roundtrip(self, tmp_path):
         paths = write_artifacts(self._profiled(), tmp_path, stem="toy")
         trace = json.loads(paths["trace"].read_text())
@@ -297,44 +301,260 @@ class TestExport:
         assert "recorded wall clock" in paths["summary_txt"].read_text()
 
 
+def _strip_wall_clock(log):
+    """An observe log's lines, re-serialised as the sink writes them, minus
+    per-injection ``latency_s`` and the footer's wall-clock perf fields."""
+    lines = []
+    for line in log.read_text().splitlines():
+        event = json.loads(line)
+        event.pop("latency_s", None)
+        for key in ("elapsed_seconds", "injections_per_sec"):
+            event.get("perf", {}).pop(key, None)
+        lines.append(json.dumps(event, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def _run_cell(cell, model, dataset, out_dir):
+    """Run one invariance cell; the observables profiling must not move."""
+    def build():
+        return InjectionCampaign(model, dataset, batch_size=4, pool_size=32, rng=0)
+
+    log = out_dir / "observe.jsonl"
+    campaign = build()
+    if cell == "serial":
+        result = campaign.run(16)
+    elif cell == "workers2":
+        result = campaign.run(16, workers=2)
+    elif cell == "observe":
+        result = campaign.run(16, observe=log)
+        campaign.observer.close()
+    else:  # journal resume after an interrupt
+        journal = out_dir / "run.journal"
+
+        def interrupt(done, total):
+            if done >= 8:
+                raise KeyboardInterrupt
+
+        with pytest.raises(CampaignInterrupted):
+            campaign.run(16, journal=journal, progress=interrupt)
+        campaign = build()
+        result = campaign.run(16, journal=journal)
+    return {
+        "injections": result.injections,
+        "corruptions": result.corruptions,
+        "per_layer_injections": result.per_layer_injections.tolist(),
+        "per_layer_corruptions": result.per_layer_corruptions.tolist(),
+        "rng": campaign.rng.bit_generator.state,
+        "cache": (campaign.perf.cache_hits, campaign.perf.cache_misses),
+        "observe_log": _strip_wall_clock(log) if cell == "observe" else None,
+    }
+
+
+def _span_pairs(prof):
+    """``{lane: {(span name, parent name)}}``: the parent process's lane
+    ``repro.profile`` and one per worker, from the recorded parent links."""
+    lanes = {"repro.profile": {(s.name, s.parent.name if s.parent else None)
+                               for s in prof.spans}}
+    for record in prof.foreign_spans:
+        parent = record["parent"]
+        lanes.setdefault(record["process_name"], set()).add(
+            (record["name"],
+             None if parent is None else prof.foreign_spans[parent]["name"]))
+    return lanes
+
+
+def _profiled(build, n, **run_kwargs):
+    prof = Profiler()
+    with campaign_spans(prof):
+        campaign = build()
+        campaign.run(n, **run_kwargs)
+    return prof, campaign
+
+
+# The serial span tree of a resumed campaign, chain and stub mode, neuron
+# and weight target alike, as the in-code spans recorded it.
+SERIAL_TREE = {
+    ("campaign.pool", None), ("resume.capture", "campaign.pool"),
+    ("campaign.plan", None), ("campaign.chunk", None),
+    ("resume.plan", "campaign.chunk"), ("campaign.replay", "campaign.chunk"),
+}
+WORKER_TREE = {
+    ("campaign.chunk", None), ("resume.plan", "campaign.chunk"),
+    ("campaign.replay", "campaign.chunk"),
+}
+
+
 class TestCampaignProfiling:
-    def test_profiled_campaign_is_bitwise_invariant(self, trained_tiny_model):
+    CELLS = ("serial", "workers2", "observe", "journal")
+
+    def test_profiled_campaign_is_bitwise_invariant(self, trained_tiny_model,
+                                                    tmp_path):
         model, dataset, _ = trained_tiny_model
-
-        def run(profiler):
-            campaign = InjectionCampaign(model, dataset, batch_size=4,
-                                         pool_size=32, rng=0, profiler=profiler)
-            result = campaign.run(16)
-            return campaign, result
-
-        plain_campaign, plain = run(None)
-        prof_campaign, profiled = run(Profiler())
-        assert profiled.corruptions == plain.corruptions
-        np.testing.assert_array_equal(profiled.per_layer_corruptions,
-                                      plain.per_layer_corruptions)
-        assert (prof_campaign.rng.bit_generator.state
-                == plain_campaign.rng.bit_generator.state)
-        assert prof_campaign.perf.cache_hits == plain_campaign.perf.cache_hits
-        assert prof_campaign.perf.cache_misses == plain_campaign.perf.cache_misses
+        cells = [c for c in self.CELLS
+                 if c != "workers2" or "fork" in multiprocessing.get_all_start_methods()]
+        for cell in cells:
+            plain = _run_cell(cell, model, dataset, tmp_path / cell / "plain")
+            prof = Profiler()
+            with campaign_spans(prof):
+                profiled = _run_cell(cell, model, dataset,
+                                     tmp_path / cell / "profiled")
+            assert any(s.name == "campaign.plan" for s in prof.spans), cell
+            if cell == "workers2":
+                assert prof.foreign_spans
+            for key, value in plain.items():
+                assert profiled[key] == value, (cell, key)
 
     def test_campaign_records_phase_spans(self, trained_tiny_model):
         model, dataset, _ = trained_tiny_model
         prof = Profiler()
-        campaign = InjectionCampaign(model, dataset, batch_size=4, pool_size=32,
-                                     rng=1, profiler=prof)
-        campaign.run(8)
+        with campaign_spans(prof):
+            campaign = InjectionCampaign(model, dataset, batch_size=4,
+                                         pool_size=32, rng=1)
+            campaign.run(8)
         names = {s.name for s in prof.spans}
         assert {"campaign.pool", "campaign.plan", "campaign.chunk"} <= names
         chunk_spans = [s for s in prof.spans if s.name == "campaign.chunk"]
         assert all("cache_hits" in s.args for s in chunk_spans)
 
-    def test_profiler_true_builds_a_fresh_profiler(self, trained_tiny_model):
+
+class TestCampaignSpanTree:
+    """The span names and nesting each campaign shape records."""
+
+    def test_chain_neuron_campaign(self, trained_tiny_model):
         model, dataset, _ = trained_tiny_model
+        prof, campaign = _profiled(lambda: InjectionCampaign(
+            model, dataset, error_model=SingleBitFlip(), batch_size=4,
+            pool_size=32, rng=0), 16)
+        assert campaign._resume.chain
+        assert _span_pairs(prof) == {"repro.profile": SERIAL_TREE}
+
+    def test_stub_mode_campaign(self, tiny_dataset):
+        model = NonChainNet()
+        model.eval()
+        dataset = SelfLabelledDataset(model, tiny_dataset)
+        prof, campaign = _profiled(lambda: InjectionCampaign(
+            model, dataset, batch_size=4, pool_size=16, rng=3), 8)
+        assert not campaign._resume.chain
+        assert _span_pairs(prof) == {"repro.profile": SERIAL_TREE}
+        modes = {s.args["mode"] for s in prof.spans if s.name == "campaign.replay"}
+        assert modes == {"stub"}
+
+    def test_weight_campaign(self, trained_tiny_model):
+        model, dataset, _ = trained_tiny_model
+        prof, _ = _profiled(lambda: InjectionCampaign(
+            model, dataset, error_model=StuckAt(1e20), batch_size=8,
+            pool_size=64, rng=9, target="weight"), 12)
+        assert _span_pairs(prof) == {"repro.profile": SERIAL_TREE}
+
+    @needs_fork
+    def test_two_worker_campaign_per_pid_lane(self, trained_tiny_model):
+        model, dataset, _ = trained_tiny_model
+        prof, _ = _profiled(lambda: InjectionCampaign(
+            model, dataset, error_model=SingleBitFlip(), batch_size=4,
+            pool_size=16, rng=11), 24, workers=2)
+        assert _span_pairs(prof) == {
+            "repro.profile": {
+                ("campaign.pool", None), ("resume.capture", "campaign.pool"),
+                ("campaign.plan", None), ("campaign.parallel", None),
+                ("campaign.merge", None),
+            },
+            "repro.worker[0]": WORKER_TREE,
+            "repro.worker[1]": WORKER_TREE,
+        }
+
+    @needs_fork
+    def test_summary_rows_count_every_worker_chunk(self, trained_tiny_model):
+        model, dataset, _ = trained_tiny_model
+
+        def build():
+            return InjectionCampaign(model, dataset, batch_size=4, pool_size=16,
+                                     rng=11)
+
+        plan_of = build()
+        n_chunks = len(plan_of._chunks(plan_of._plan(24)[1], 24))
+        prof, _ = _profiled(build, 24, workers=2)
+        rows = summary(prof)["spans"]
+        chunk_rows = [r for r in rows if r["name"] == "campaign.chunk"]
+        assert sum(r["count"] for r in chunk_rows) == n_chunks
+        assert {r["path"].split("/")[0] for r in chunk_rows} == {
+            "repro.worker[0]", "repro.worker[1]"}
+        # Each row follows its parent's row.
+        seen = set()
+        for row in rows:
+            assert row["depth"] == 0 or row["path"].rsplit("/", 1)[0] in seen
+            seen.add(row["path"])
+        assert "repro.worker[1]" in text_table(prof)
+
+    @needs_fork
+    def test_failed_worker_attempt_ships_no_spans(self, trained_tiny_model,
+                                                  tmp_path):
+        import os
+
+        model, dataset, _ = trained_tiny_model
+        marker = str(tmp_path / "failed-once")
+        prof = Profiler()
+        with campaign_spans(prof):
+            campaign = InjectionCampaign(model, dataset, batch_size=4,
+                                         pool_size=16, rng=11)
+            execute = campaign._execute_chunk
+
+            def fails_once(*args, **kwargs):
+                try:  # the first attempt on any worker, exactly once
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return execute(*args, **kwargs)
+                raise RuntimeError("first attempt fails")
+
+            campaign._execute_chunk = fails_once
+            campaign.run(24, workers=2)
+        assert campaign.parallel_info["retries"] == 1
+        chunks = [r for r in prof.foreign_spans if r["name"] == "campaign.chunk"]
+        assert len(chunks) == campaign.perf.forwards  # one per chunk record
+        assert all("resumed" in r["args"] for r in chunks)
+
+
+class TestCampaignSpansContext:
+    def _wrapped(self):
+        from repro.campaign import InjectionCampaign as campaign_cls
+
+        sites = [(owner, attr) for owner, attr, _, _ in _campaign_sites()]
+        return sites + [(campaign_cls, "run")]
+
+    def test_exit_restores_every_wrapped_attribute(self):
+        originals = [(owner, attr, owner.__dict__[attr])
+                     for owner, attr in self._wrapped()]
+        with campaign_spans(Profiler()):
+            assert all(owner.__dict__[attr] is not original
+                       for owner, attr, original in originals)
+        assert all(owner.__dict__[attr] is original
+                   for owner, attr, original in originals)
+        with pytest.raises(ValueError, match="boom"):
+            with campaign_spans(Profiler()):
+                raise ValueError("boom")
+        assert all(owner.__dict__[attr] is original
+                   for owner, attr, original in originals)
+
+    def test_second_concurrent_entry_raises(self):
+        originals = [(owner, attr, owner.__dict__[attr])
+                     for owner, attr in self._wrapped()]
+        with campaign_spans(Profiler()):
+            with pytest.raises(RuntimeError, match="already open"):
+                with campaign_spans(Profiler()):
+                    pass
+        assert all(owner.__dict__[attr] is original
+                   for owner, attr, original in originals)
+        with campaign_spans(Profiler()):  # reusable once closed
+            pass
+
+    def test_campaign_built_after_exit_records_no_span(self, trained_tiny_model):
+        model, dataset, _ = trained_tiny_model
+        prof = Profiler()
+        with campaign_spans(prof):
+            pass
         campaign = InjectionCampaign(model, dataset, batch_size=4, pool_size=32,
-                                     rng=2, profiler=True)
+                                     rng=2)
         campaign.run(4)
-        assert isinstance(campaign.profiler, Profiler)
-        assert len(campaign.profiler.spans) > 0
+        assert prof.spans == [] and prof.foreign_spans == []
 
 
 class TestHeartbeat:
