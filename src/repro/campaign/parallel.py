@@ -37,10 +37,10 @@ the failure handling in this module sound:
   (:mod:`repro.campaign.recovery`), so a campaign killed outright —
   ``kill -9`` included — resumes exactly where it stopped.
 * **Graceful shutdown.**  SIGINT/SIGTERM drain in-flight chunks into the
-  journal, flush every sink, and terminate all children — no orphan
-  processes, no lost completed work.  Even a ``kill -9`` of the parent
-  leaves no orphans: workers poll for work with a timeout and self-exit
-  when they notice they have been reparented.
+  journal (and their observe events into the log), and terminate all
+  children — no orphan processes, no lost completed work.  Even a
+  ``kill -9`` of the parent leaves no orphans: workers poll for work with
+  a timeout and self-exit when they notice they have been reparented.
 
 Each worker talks to the parent over one private duplex pipe and sends
 one message per completed chunk: its journal record, its wall time, and
@@ -51,10 +51,11 @@ folds every chunk message through the same fold as inline and journaled
 chunks (:meth:`InjectionCampaign.run
 <repro.campaign.InjectionCampaign.run>`), and that fold is
 order-independent: per-layer tallies and per-chunk perf deltas are
-integer sums, the worker's rows republish on the run's bus, where the
-observe sink buffers events by plan position (``index``) and writes
-them in serial order and any other reader attached to the bus sees them
-tagged with the worker's id, and a retried chunk's duplicate completion
+integer sums, the worker's rows republish on the run's bus — the same
+observe events and clean-capture counts an inline chunk publishes there,
+which the observe tracer buffers by plan position (``index``) and writes
+in serial order, and which any other reader attached to the bus sees
+tagged with the worker's id — and a retried chunk's duplicate completion
 is dropped whole (re-executions are bitwise identical).
 """
 
@@ -105,9 +106,9 @@ def _worker_main(campaign, wid, conn, run):
     completed chunk with exactly one ``("chunk", id, record, elapsed_s,
     rows)`` message: ``record`` is the chunk's journal record, ``elapsed_s``
     its wall time, and ``rows`` what the chunk published on this worker's
-    private bus — full observe events, the clean-capture count, and
-    whatever else a reader of the run published there.  A worker that
-    dies mid-campaign has already shipped everything it completed.  A
+    private bus — full observe events, clean-capture counts, and whatever
+    else a reader of the run published there.  A worker that dies
+    mid-campaign has already shipped everything it completed.  A
     chunk whose execution raises is reported as ``chunk_failed`` and the
     worker moves on; the parent decides between retry and quarantine.
     """
@@ -126,9 +127,6 @@ def _worker_main(campaign, wid, conn, run):
         bus = campaign.telemetry = TelemetryBus()
         bus.add_consumer(lambda env: rows.append(
             (env["source"], env["kind"], env["data"], wid)))
-        tracer = run.tracer
-        if tracer is not None:
-            tracer.clean_captures = 0  # reported per chunk, folded by the parent
     except BaseException:
         conn.send(("fatal", traceback.format_exc()))
         raise
@@ -151,8 +149,6 @@ def _worker_main(campaign, wid, conn, run):
         conn.send(("start", cid))
         try:
             record, elapsed_s = campaign._run_chunk(run, cid)
-            if tracer is not None and tracer.clean_captures:
-                bus.publish("observe", "captures", tracer.clean_captures)
             conn.send(("chunk", cid, record, elapsed_s, rows))
         except BaseException:
             conn.send(("chunk_failed", cid, traceback.format_exc()))
@@ -160,8 +156,6 @@ def _worker_main(campaign, wid, conn, run):
             # Whatever did not ship (a failed attempt's partial reports)
             # is dropped with the attempt.
             rows.clear()
-            if tracer is not None:
-                tracer.clean_captures = 0
 
 
 class _WorkerHandle:
@@ -189,12 +183,8 @@ class ParallelCampaignExecutor:
     <repro.campaign.InjectionCampaign.run>`: for ``workers=N`` the run's
     driver draws the plan, folds journaled chunks, and hands the rest to
     :meth:`execute`, which schedules them over the fleet and folds every
-    chunk a worker ships through the driver's one fold.  :meth:`run` is a
-    façade for callers that want ``parallel_info`` without going through
-    ``campaign.run``::
-
-        executor = ParallelCampaignExecutor(campaign, workers=4)
-        result = executor.run(10_000)
+    chunk a worker ships through the driver's one fold.  Run one through
+    ``campaign.run(n, workers=N, recovery=policy)``.
 
     After a fleet run the campaign's ``parallel_info`` dict records the
     worker count actually used, per-worker injection counts and pids, the
@@ -219,15 +209,6 @@ class ParallelCampaignExecutor:
         self.worker_failures = 0
         self.respawns = 0
 
-    def run(self, n_injections, **kwargs):
-        """``campaign.run(n_injections, workers=N, **kwargs)`` under this policy.
-
-        With ``workers == 1`` (or without ``fork``) the chunks run inline
-        and ``parallel_info`` stays unset.
-        """
-        return self.campaign.run(n_injections, workers=self.workers,
-                                 recovery=self.policy, **kwargs)
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -244,8 +225,6 @@ class ParallelCampaignExecutor:
                              if cid not in run.done)
         if not self.backlog:
             return
-        if run.tracer is not None and hasattr(run.tracer.sink, "flush"):
-            run.tracer.sink.flush()  # nothing buffered crosses the fork
         ctx = multiprocessing.get_context("fork")
         n_workers = min(self.workers, len(self.backlog))
         try:

@@ -166,7 +166,6 @@ class InjectionCampaign:
         self.strategy = strategy
         self.rng = _rng.coerce_generator(rng)
         self.perf = CampaignPerfCounters()
-        self.observer = None  # set by run(observe=...), see repro.observe
         # The run's telemetry bus (repro.telemetry) for the duration of one
         # run(); a private one inside each forked worker.  Publishing only
         # reads campaign state — outcomes, RNG stream, and cache statistics
@@ -554,11 +553,11 @@ class InjectionCampaign:
         the run ends.
 
         Pass ``observe=`` to trace fault propagation through the network:
-        a :class:`~repro.observe.PropagationTracer`, a JSONL log path, or
-        ``True`` for an in-memory tracer (kept on ``self.observer``).  The
-        tracer records per-layer clean-vs-perturbed divergence and emits
-        one telemetry event per injection; observation never changes the
-        campaign's outcomes, RNG stream, or cache statistics.
+        a :class:`~repro.observe.PropagationTracer`, or a JSONL log path
+        (the run builds a tracer for it and closes it at the end).  The
+        tracer records per-layer clean-vs-perturbed divergence and writes
+        one event per injection in plan order; observation never changes
+        the campaign's outcomes, RNG stream, or cache statistics.
 
         ``progress`` accepts a ``callable(done, total)``, called once per
         folded chunk, or ``True`` for the default
@@ -584,8 +583,8 @@ class InjectionCampaign:
 
         SIGINT, and SIGTERM when this runs on the main thread, interrupt
         the run gracefully on either executor: the journal is closed, the
-        observe sink flushed, and :class:`CampaignInterrupted` raised with
-        a ``partial`` progress summary.
+        observe events of every folded chunk written (no ``campaign_end``),
+        and :class:`CampaignInterrupted` raised with a ``partial`` summary.
 
         ``recovery=`` (fleet runs only) is a
         :class:`~repro.campaign.recovery.RecoveryPolicy` (or kwargs dict)
@@ -649,7 +648,6 @@ class InjectionCampaign:
             tracer = coerce_tracer(observe)
             if tracer is not None:
                 tracer.attach(self)
-                self.observer = tracer
             # The run's readers, attached for this run only.
             consumers = [consume for consume in (
                 progress, tracer.consume if tracer is not None else None)
@@ -691,8 +689,8 @@ class InjectionCampaign:
                 self.perf.elapsed_seconds += time.perf_counter() - started
                 if journal_log is not None:
                     journal_log.close()
-                if tracer is not None and hasattr(tracer.sink, "flush"):
-                    tracer.sink.flush()
+                if tracer is not None:
+                    tracer.finish(self)
                 raise CampaignInterrupted(run.partial()) from None
             wall = time.perf_counter() - started
             if fleet is not None:
@@ -739,6 +737,8 @@ class InjectionCampaign:
                 journal_log.close()
             if tracer is not None:
                 tracer.detach()
+                if tracer is not observe:
+                    tracer.close()  # built here from a path
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
             for consume in consumers:
@@ -842,10 +842,10 @@ class _CampaignRun:
 class CampaignInterrupted(KeyboardInterrupt):
     """A campaign shut down gracefully on SIGINT/SIGTERM.
 
-    Raised after in-flight chunks drained, the journal and sinks flushed,
-    and every child terminated.  ``partial`` summarises what completed so
-    callers (the CLI, experiment drivers) can report progress and point at
-    the journal for resumption.
+    Raised after in-flight chunks drained, the journal closed, the observe
+    events of the folded chunks written, and every child terminated.
+    ``partial`` summarises what completed so callers (the CLI, experiment
+    drivers) can report progress and point at the journal for resumption.
     """
 
     def __init__(self, partial):

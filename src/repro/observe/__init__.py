@@ -7,9 +7,10 @@ the clean-vs-perturbed divergence at each layer (corrupted-element count,
 L2/L∞ norms), where corruption entered, where it was masked, and the
 final outcome (masked / misclassified / detectable-NaN-Inf) — reusing the
 resume engine's cached clean activations so tracing adds no second clean
-forward.  Events stream into sinks (append-only JSONL or in-memory) and
-aggregate into per-layer vulnerability profiles via :func:`aggregate`,
-rendered by the ``repro report`` CLI subcommand.
+forward.  Events (their schema is in :mod:`repro.observe.events`) stream
+into sinks (append-only JSONL or in-memory) and aggregate into per-layer
+vulnerability profiles via :func:`aggregate`, rendered by the ``repro
+report`` CLI subcommand.
 
 Usage::
 
@@ -17,7 +18,8 @@ Usage::
     from repro.observe import PropagationTracer, aggregate
 
     campaign = InjectionCampaign(model, dataset)
-    result = campaign.run(1000, observe="campaign.jsonl")   # JSONL telemetry
+    # JSONL telemetry; the run closes the tracer it builds for the path:
+    result = campaign.run(1000, observe="campaign.jsonl")
     # or keep events in memory:
     tracer = PropagationTracer()
     result = campaign.run(1000, observe=tracer)
@@ -30,10 +32,6 @@ from .events import (
     OUTCOME_MASKED,
     OUTCOME_MISCLASSIFIED,
     OUTCOMES,
-    LayerDivergence,
-    ObservedInjection,
-    build_event,
-    classify_outcome,
     divergence_rows,
 )
 from .report import REPORT_SCHEMA_VERSION, aggregate, render_json, render_markdown, timing_summary
@@ -43,18 +41,14 @@ from .tracer import PropagationTracer, coerce_tracer
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "JsonlEventSink",
-    "LayerDivergence",
     "MemorySink",
     "OUTCOMES",
     "OUTCOME_DETECTED",
     "OUTCOME_MASKED",
     "OUTCOME_MISCLASSIFIED",
-    "ObservedInjection",
     "PropagationTracer",
     "REPORT_SCHEMA_VERSION",
     "aggregate",
-    "build_event",
-    "classify_outcome",
     "coerce_tracer",
     "divergence_rows",
     "load_events",

@@ -1,11 +1,15 @@
 """Telemetry sinks: where observed-campaign events go.
 
 The JSONL sink is the durable format — one JSON object per line, appended
-and flushed as events arrive, so a crashed campaign still leaves a usable
-log.  The price of append-only durability is that the *last* line of a log
-can be torn (process killed mid-write); :func:`load_events` therefore
-treats undecodable lines as a skip-and-warn, never an error — the same
-treat-as-miss policy `repro.train.cache` applies to corrupt weight files.
+and flushed as each event is emitted.  What a campaign's log holds after a
+crash depends on what emitted it: the observe tracer buffers a run's
+injection events and emits them when the run ends or is interrupted (see
+:mod:`repro.observe.tracer`), while the campaign journal emits each record
+as its chunk completes.  The price of append-only durability is that the
+*last* line of a log can be torn (process killed mid-write);
+:func:`load_events` therefore treats undecodable lines as a skip-and-warn,
+never an error — the same treat-as-miss policy `repro.train.cache` applies
+to corrupt weight files.
 """
 
 from __future__ import annotations
@@ -41,14 +45,7 @@ class JsonlEventSink:
     The file is opened lazily on the first :meth:`emit` (constructing a
     sink never touches the filesystem) in append mode, so one log can
     accumulate several campaigns.  Every event is written as a single
-    sorted-key JSON line.
-
-    ``flush_every`` trades durability for throughput: the default (1)
-    flushes after every event, so a crashed campaign loses at most one
-    line; ``flush_every=N`` flushes once per N events — large observed
-    campaigns stop paying one syscall per injection.  The sink always
-    flushes on :meth:`close` and on context-manager exit, whatever the
-    setting.
+    sorted-key JSON line and flushed before :meth:`emit` returns.
 
     ``fsync=True`` upgrades every flush to a full ``os.fsync``: the data
     is on stable storage (not just in the kernel page cache) before
@@ -58,37 +55,28 @@ class JsonlEventSink:
     torn final record is skipped on reload by :func:`load_events`.
     """
 
-    def __init__(self, path, flush_every=1, fsync=False):
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path, fsync=False):
         self.path = Path(path)
-        self.flush_every = int(flush_every)
         self.fsync = bool(fsync)
         self._fh = None
-        self._unflushed = 0
 
     def emit(self, event):
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("a", encoding="utf-8")
         self._fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self):
         if self._fh is not None:
             self._fh.flush()
             if self.fsync:
                 os.fsync(self._fh.fileno())
-            self._unflushed = 0
 
     def close(self):
         if self._fh is not None:
-            self.flush()
             self._fh.close()
             self._fh = None
-            self._unflushed = 0
 
     def __enter__(self):
         return self

@@ -26,14 +26,18 @@ Layers the replay never executes (the skipped prefix of a resumed
 forward) are bit-identical to clean by the fault model, so their absent
 observations are recorded as zero divergence.
 
-Events travel on the campaign's telemetry bus.  The tracer publishes
-every full event as an ``("observe", "injection")`` envelope — into the
-run's bus in this process, into the private bus of a forked worker,
-whose rows the parent's fold republishes verbatim.  Its
-:meth:`consume` is the run's sink writer: it buffers the events by plan
-index (and adds the clean-capture counts workers report) and
-:meth:`finish` writes them in plan order, so a log's bytes do not
-depend on which process ran a chunk.
+Events travel on the campaign's telemetry bus: the run's bus here, a
+forked worker's private bus there, whose rows the parent's fold
+republishes verbatim.  :meth:`record_chunk` builds and publishes each
+``("observe", "injection")`` event once (schema: :mod:`repro.observe.events`),
+and :meth:`prepare_chunk` publishes ``("observe", "captures", 1)`` per
+clean capture forward.  :meth:`consume`, the run's sink writer, is the
+only place that adds to ``clean_captures``; it buffers events by plan
+index and :meth:`finish` writes them in plan order, so a log's bytes do
+not depend on which process ran a chunk.  An interrupted run's
+:meth:`finish` (no result) writes the folded chunks' events and no
+footer; a killed process loses the buffer, and the campaign journal is
+the crash-durable record.
 """
 
 from __future__ import annotations
@@ -49,9 +53,7 @@ from .events import (
     OUTCOME_DETECTED,
     OUTCOME_MASKED,
     OUTCOME_MISCLASSIFIED,
-    LayerDivergence,
     _finite,
-    build_event,
     divergence_rows,
 )
 from .sinks import JsonlEventSink, MemorySink
@@ -72,7 +74,6 @@ class PropagationTracer:
         self.clean_captures = 0  # graceful-degradation clean forwards
         self.observed_injections = 0
         self._campaign = None
-        self._modules = []
         self._num_layers = 0
         self._handles = []
         self._armed = False
@@ -103,7 +104,6 @@ class PropagationTracer:
             )
         self._campaign = campaign
         fi = campaign.fi
-        self._modules = [m for _, m in fi._iter_instrumentable(fi.model)]
         self._num_layers = fi.num_layers
 
         def make_collector(layer_idx):
@@ -114,7 +114,7 @@ class PropagationTracer:
 
         self._handles = [
             module.register_forward_hook(make_collector(j))
-            for j, module in enumerate(self._modules)
+            for j, (_, module) in enumerate(fi._iter_instrumentable(fi.model))
         ]
 
     def detach(self):
@@ -122,7 +122,6 @@ class PropagationTracer:
         for handle in self._handles:
             handle.remove()
         self._handles = []
-        self._modules = []
         self._campaign = None
         self._armed = False
         self._acts = {}
@@ -157,12 +156,15 @@ class PropagationTracer:
         elif envelope["kind"] == "captures":
             self.clean_captures += envelope["data"]
 
-    def finish(self, campaign, result):
-        """Write buffered injection events (plan order) and the campaign footer."""
+    def finish(self, campaign, result=None):
+        """Write the buffered injection events in plan order, then the
+        campaign footer; an interrupted run (no ``result``) gets none."""
         for index in sorted(self._buffer):
             self.sink.emit(self._buffer[index])
         self.observed_injections += len(self._buffer)
         self._buffer = {}
+        if result is None:
+            return
         self.sink.emit(dict(
             type="campaign_end",
             v=EVENT_SCHEMA_VERSION,
@@ -193,7 +195,8 @@ class PropagationTracer:
         Layers ahead of the target cannot diverge, so references are only
         needed for ``layer_idx ..`` the last layer.  The resume cache is
         peeked first (no hit/miss counting, no recency update); any missing
-        row falls back to one clean capture forward for the whole chunk.
+        row falls back to one clean capture forward for the whole chunk,
+        reported as ``("observe", "captures", 1)`` on the campaign's bus.
         Must run *before* the model is instrumented.
 
         When the cache holds the whole pool for a layer, its rows are
@@ -229,7 +232,7 @@ class PropagationTracer:
                 self._campaign.fi.model(Tensor(np.asarray(images)))
             clean = {j: self._acts[j] for j in layers if j in self._acts}
             self._acts = {}
-            self.clean_captures += 1
+            self._campaign.telemetry.publish("observe", "captures", 1)
         self._chunk_clean = clean
 
     def record_chunk(self, *, rows, pool_indices, seeds, clean_predicted, logits,
@@ -240,12 +243,13 @@ class PropagationTracer:
         clean references from :meth:`prepare_chunk`.  ``rows`` are the
         chunk record's lane rows, ``[plan position, {layer, coords, label,
         corrupted, ...}]`` in batch-lane order; the other per-lane
-        arguments follow the same order.  Each event is published on the
-        campaign's bus.
+        arguments follow the same order.  Each event is built once, as the
+        ``injection`` dict :mod:`repro.observe.events` describes, and
+        published on the campaign's bus.
         """
         perturbed = self._acts
         clean = self._chunk_clean or {}
-        per_layer = []
+        per_layer = []  # ascending by layer, so divergence rows are too
         for j in sorted(clean):
             if j in perturbed:
                 acts = perturbed[j]
@@ -263,39 +267,46 @@ class PropagationTracer:
         # The rows' ``predicted`` is a plain argmax; an event's treats NaN as
         # the lowest logit.
         logits = np.asarray(logits)
-        finite = np.isfinite(logits).all(axis=1)
-        argmax = np.nan_to_num(logits, nan=-np.inf).argmax(axis=1)
+        finite = np.isfinite(logits).all(axis=1).tolist()
+        predicted = np.nan_to_num(logits, nan=-np.inf).argmax(axis=1).tolist()
+        clean_predicted = np.asarray(clean_predicted).tolist()
+        last_layer = self._num_layers - 1
         bus = self._campaign.telemetry
         for b, (p, row) in enumerate(rows):
-            divergence = [
-                LayerDivergence(j, counts[b], _finite(l2[b]), _finite(linf[b]))
-                for j, counts, l2, linf in per_layer
-                if counts[b] > 0
-            ]
+            divergence = [[j, counts[b], _finite(l2[b]), _finite(linf[b])]
+                          for j, counts, l2, linf in per_layer if counts[b] > 0]
+            if divergence:
+                first, last = divergence[0][0], divergence[-1][0]
+                masked_by = last + 1 if last < last_layer else None
+            else:
+                first = last = None
+                masked_by = row["layer"]
             if not finite[b]:
                 outcome = OUTCOME_DETECTED
-            elif argmax[b] != clean_predicted[b]:
+            elif predicted[b] != clean_predicted[b]:
                 outcome = OUTCOME_MISCLASSIFIED
             else:
                 outcome = OUTCOME_MASKED
-            event = build_event(
-                index=p,
-                layer=row["layer"],
-                coords=row["coords"],
-                pool_index=pool_indices[b],
-                seed=seeds[b],
-                label=row["label"],
-                clean_predicted=clean_predicted[b],
-                logits_row=logits[b],
-                corrupted=row["corrupted"],
-                divergence=divergence,
-                num_layers=self._num_layers,
-                resumed=resumed,
-                latency_s=latency,
-                predicted=argmax[b],
-                outcome=outcome,
-            )
-            bus.publish("observe", "injection", event.to_dict())
+            bus.publish("observe", "injection", {
+                "type": "injection",
+                "v": EVENT_SCHEMA_VERSION,
+                "index": p,
+                "layer": row["layer"],
+                "coords": list(row["coords"]),
+                "pool_index": pool_indices[b],
+                "seed": seeds[b],
+                "label": row["label"],
+                "clean_predicted": clean_predicted[b],
+                "predicted": predicted[b],
+                "corrupted": row["corrupted"],
+                "outcome": outcome,
+                "first_divergence_layer": first,
+                "last_divergence_layer": last,
+                "masked_by_layer": masked_by,
+                "divergence": divergence,
+                "resumed": resumed,
+                "latency_s": latency,
+            })
         self._acts = {}
         self._chunk_clean = None
 
@@ -303,18 +314,14 @@ class PropagationTracer:
 def coerce_tracer(observe):
     """Normalise ``InjectionCampaign.run``'s ``observe=`` argument.
 
-    ``None``/``False`` → no tracer; ``True`` → memory-sink tracer; a
-    string or path → tracer appending to that JSONL log; a tracer passes
-    through unchanged.
+    ``None`` → no tracer; a string or path → a new tracer appending to
+    that JSONL log; a tracer passes through unchanged.
     """
-    if observe is None or observe is False:
-        return None
-    if observe is True:
-        return PropagationTracer()
+    if observe is None or isinstance(observe, PropagationTracer):
+        return observe
     if isinstance(observe, (str, Path)):
         return PropagationTracer(JsonlEventSink(observe))
-    if isinstance(observe, PropagationTracer):
-        return observe
     raise TypeError(
-        f"observe must be a PropagationTracer, a path, or a bool; got {type(observe).__name__}"
+        "observe must be None, a JSONL log path, or a PropagationTracer; "
+        f"got {type(observe).__name__}"
     )

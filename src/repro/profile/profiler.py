@@ -68,21 +68,6 @@ class Span:
         self.args.update(kwargs)
         return self
 
-    def path(self):
-        """Root-to-this tuple of span names (aggregation key)."""
-        names = []
-        node = self
-        while node is not None:
-            names.append(node.name)
-            node = node.parent
-        return tuple(reversed(names))
-
-    def walk(self):
-        """Yield this span and every descendant, depth-first preorder."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
     def __repr__(self):
         return (f"Span({self.name!r}, {self.duration_s * 1e3:.3f}ms, "
                 f"self {self.self_seconds * 1e3:.3f}ms, "

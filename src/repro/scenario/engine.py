@@ -6,7 +6,9 @@ one — so every campaign capability composes unchanged: ``workers=N``
 shards the point across forked processes, ``journal=`` makes each point
 crash-resumable (multi-point scenarios get per-point journal files, and
 the journal fingerprint pins the resident set so a stale journal is
-rejected loudly), and ``observe=`` streams per-injection telemetry.
+rejected loudly), and ``observe=`` (a JSONL path, suffixed per point
+like a journal, or one tracer for every point) streams per-injection
+telemetry.
 
 For the ``accumulated`` family the engine additionally writes a
 deterministic SDC-vs-fault-count artifact (schema
@@ -140,9 +142,10 @@ class ScenarioResult:
 
 
 def _point_path(base, index, label, multi):
-    """Per-point journal/observe path; stable across reruns (resume)."""
-    if base is None:
-        return None
+    """Per-point journal/observe path; stable across reruns (resume).
+    Anything else (None, an observe tracer) passes through unchanged."""
+    if not isinstance(base, (str, Path)):
+        return base
     if not multi:
         return str(base)
     return f"{base}.{index:02d}-{label}"
@@ -153,13 +156,16 @@ def run_scenario(compiled, workers=1, journal=None, observe=None,
     """Run every sweep point of ``compiled``; returns :class:`ScenarioResult`.
 
     ``workers``/``journal``/``observe``/``progress``/``telemetry`` pass
-    through to each point's ``campaign.run``; every point publishes into
+    through to each point's ``campaign.run``.  A journal or observe path
+    gets a per-point suffix when the sweep has several points; an observe
+    :class:`~repro.observe.PropagationTracer` observes every point as it
+    is, so one sink collects the whole sweep.  Every point publishes into
     the one bus (``telemetry``, or a bare bus made for the scenario).  The
     engine additionally publishes one ``("scenario", "point_start")`` /
     ``("scenario", "point_end")`` envelope pair around every sweep point,
     so a streamed multi-point scenario shows which phase of the sweep is
-    live.  ``out_dir`` (a directory path) enables
-    the accumulated-sweep artifact.
+    live.  ``out_dir`` (a directory path) enables the accumulated-sweep
+    artifact.
     :class:`~repro.campaign.CampaignInterrupted` propagates to the caller
     — with a journal, rerunning the same scenario against the same paths
     resumes each point where it stopped.

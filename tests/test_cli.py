@@ -107,7 +107,6 @@ class TestReportCommand:
             model, dataset, error_model=SingleBitFlip(), criterion="top1",
             batch_size=8, pool_size=16, rng=11, resume=True)
         campaign.run(16, observe=log)
-        campaign.observer.close()
         return log
 
     def test_markdown_report(self, event_log, capsys):

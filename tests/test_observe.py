@@ -1,27 +1,28 @@
 """Tests for repro.observe — propagation tracing and campaign telemetry.
 
-Covers the divergence metrics on hand-built tensors, the event schema
-roundtrip, the JSONL sink (including the torn-trailing-line policy), the
-bitwise do-not-change-the-science contract of observed campaigns, report
-determinism, and the graceful degradation path when resume is off.
+Covers the divergence metrics on hand-built tensors, the event schema's
+outcome and masking rules over every event of observed smoke campaigns,
+the JSONL sink (including the torn-trailing-line policy), the bitwise
+do-not-change-the-science contract of observed campaigns, report
+determinism, the graceful degradation path when resume is off, and what
+an interrupted observed run leaves in its log.
 """
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.campaign import InjectionCampaign
-from repro.core import SingleBitFlip
+from repro import models, tensor
+from repro.campaign import CampaignInterrupted, InjectionCampaign
+from repro.core import SingleBitFlip, StuckAt, StuckAtBit
+from repro.data import SelfLabelledDataset, SyntheticClassification
 from repro.observe import (
     JsonlEventSink,
-    LayerDivergence,
     MemorySink,
-    ObservedInjection,
     PropagationTracer,
     aggregate,
-    build_event,
-    classify_outcome,
     coerce_tracer,
     divergence_rows,
     load_events,
@@ -90,56 +91,136 @@ class TestDivergenceRows:
             divergence_rows(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+class _LogitsTracer(PropagationTracer):
+    """A tracer that also keeps each injection's faulty logits row, so the
+    events' outcomes can be checked against the logits they came from."""
+
+    def __init__(self):
+        super().__init__()
+        self.logits = {}
+
+    def record_chunk(self, *, rows, logits, **kwargs):
+        for (p, _), row in zip(rows, np.asarray(logits)):
+            self.logits[p] = row.copy()
+        super().record_chunk(rows=rows, logits=logits, **kwargs)
+
+
+def _smoke_campaign(error_model=None):
+    """A resnet18/cifar10 smoke campaign on self-labelled inputs."""
+    tensor.manual_seed(0)
+    net = models.get_model("resnet18", "cifar10", scale="smoke",
+                           rng=tensor.spawn(1))
+    net.eval()
+    classes, size = models.dataset_preset("cifar10")
+    dataset = SelfLabelledDataset(
+        net, SyntheticClassification(num_classes=classes, image_size=size, seed=1))
+    return InjectionCampaign(net, dataset, error_model=error_model,
+                             batch_size=16, pool_size=16, rng=0)
+
+
+@pytest.fixture(scope="module")
+def smoke_events():
+    """``(event, faulty logits row, campaign)`` for every injection event of
+    four observed smoke campaigns.  A bit stuck at 0 is often 0 already, so
+    that campaign supplies the injections that change no value."""
+    out = []
+    for error_model in (SingleBitFlip(), StuckAt(float("inf")), StuckAt(0.0),
+                        StuckAtBit(stuck=0)):
+        campaign = _smoke_campaign(error_model)
+        tracer = _LogitsTracer()
+        campaign.run(64, observe=tracer)
+        out += [(event, tracer.logits[event["index"]], campaign)
+                for event in tracer.events if event["type"] == "injection"]
+    return out
+
+
 class TestClassifyOutcome:
-    def test_masked(self):
-        assert classify_outcome([0.1, 0.9, 0.2], 1) == OUTCOME_MASKED
+    """The outcome rule, over every event the tracer built: detected iff a
+    logit is non-finite, else misclassified iff ``predicted !=
+    clean_predicted``, else masked."""
 
-    def test_misclassified(self):
-        assert classify_outcome([0.9, 0.1, 0.2], 1) == OUTCOME_MISCLASSIFIED
+    def _finite_events(self, smoke_events):
+        return [(event, logits, campaign) for event, logits, campaign in smoke_events
+                if np.isfinite(logits).all()]
 
-    def test_nan_and_inf_are_detectable(self):
-        assert classify_outcome([np.nan, 0.1], 0) == OUTCOME_DETECTED
-        assert classify_outcome([np.inf, 0.1], 0) == OUTCOME_DETECTED
+    def test_masked(self, smoke_events):
+        finite = self._finite_events(smoke_events)
+        for event, logits, campaign in finite:
+            clean = int(campaign.pool_logits[event["pool_index"]].argmax())
+            assert event["clean_predicted"] == clean
+            assert event["predicted"] == int(logits.argmax())
+            assert (event["outcome"] == OUTCOME_MASKED) == (event["predicted"] == clean)
+        assert any(event["outcome"] == OUTCOME_MASKED for event, _, _ in finite)
+
+    def test_misclassified(self, smoke_events):
+        finite = self._finite_events(smoke_events)
+        for event, _, _ in finite:
+            assert (event["outcome"] == OUTCOME_MISCLASSIFIED) == \
+                (event["predicted"] != event["clean_predicted"])
+        assert any(event["outcome"] == OUTCOME_MISCLASSIFIED for event, _, _ in finite)
+
+    def test_nan_and_inf_are_detectable(self, smoke_events):
+        for event, logits, _ in smoke_events:
+            assert (event["outcome"] == OUTCOME_DETECTED) == \
+                (not np.isfinite(logits).all())
+            # NaN ranks lowest in an event's ``predicted``.
+            assert event["predicted"] == int(
+                np.nan_to_num(logits, nan=-np.inf).argmax())
+        assert any(event["outcome"] == OUTCOME_DETECTED for event, _, _ in smoke_events)
 
 
 class TestBuildEvent:
-    def _event(self, divergence, layer=1, num_layers=5, **kwargs):
-        defaults = dict(index=0, layer=layer, coords=(0, 1), pool_index=3,
-                        seed=42, label=2, clean_predicted=2,
-                        logits_row=[0.1, 0.2, 0.9], corrupted=False,
-                        divergence=divergence, num_layers=num_layers,
-                        resumed=True, latency_s=0.5)
-        defaults.update(kwargs)
-        return build_event(**defaults)
+    """The divergence fields of every event the tracer built: ascending
+    rows, first/last read off them, and the three ``masked_by_layer``
+    rules."""
 
-    def test_fault_reaching_last_layer_is_not_masked(self):
-        rows = [LayerDivergence(1, 4, 2.0, 1.0), LayerDivergence(4, 1, 0.5, 0.5)]
-        event = self._event(rows)
-        assert event.first_divergence_layer == 1
-        assert event.last_divergence_layer == 4
-        assert event.masked_by_layer is None
+    @staticmethod
+    def _rows(event):
+        layers = [row[0] for row in event["divergence"]]
+        assert layers == sorted(set(layers))
+        assert all(row[1] > 0 for row in event["divergence"])
+        return layers
 
-    def test_fault_dying_early_is_masked_by_next_layer(self):
-        event = self._event([LayerDivergence(1, 4, 2.0, 1.0),
-                             LayerDivergence(2, 1, 0.5, 0.5)])
-        assert event.masked_by_layer == 3
+    def test_fault_reaching_last_layer_is_not_masked(self, smoke_events):
+        seen = 0
+        for event, _, campaign in smoke_events:
+            layers = self._rows(event)
+            if layers and layers[-1] == campaign.fi.num_layers - 1:
+                assert event["masked_by_layer"] is None
+                assert event["last_divergence_layer"] == layers[-1]
+                seen += 1
+        assert seen
 
-    def test_no_divergence_is_masked_at_the_target(self):
-        event = self._event([])
-        assert event.first_divergence_layer is None
-        assert event.last_divergence_layer is None
-        assert event.masked_by_layer == 1
+    def test_fault_dying_early_is_masked_by_next_layer(self, smoke_events):
+        seen = 0
+        for event, _, campaign in smoke_events:
+            layers = self._rows(event)
+            if layers and layers[-1] < campaign.fi.num_layers - 1:
+                assert event["first_divergence_layer"] == layers[0]
+                assert event["last_divergence_layer"] == layers[-1]
+                assert event["masked_by_layer"] == layers[-1] + 1
+                seen += 1
+        assert seen
 
-    def test_dict_roundtrip(self):
-        event = self._event([LayerDivergence(1, 4, 2.0, 1.0)])
-        payload = event.to_dict()
-        assert payload["type"] == "injection"
-        json.dumps(payload)  # strictly serialisable
-        assert ObservedInjection.from_dict(payload) == event
+    def test_no_divergence_is_masked_at_the_target(self, smoke_events):
+        seen = 0
+        for event, _, _ in smoke_events:
+            if not self._rows(event):
+                assert event["first_divergence_layer"] is None
+                assert event["last_divergence_layer"] is None
+                assert event["masked_by_layer"] == event["layer"]
+                seen += 1
+        assert seen
 
-    def test_from_dict_rejects_other_event_types(self):
-        with pytest.raises(ValueError, match="not an injection"):
-            ObservedInjection.from_dict({"type": "campaign_start"})
+    def test_dict_roundtrip(self, smoke_events, tmp_path):
+        events = [event for event, _, _ in smoke_events]
+        for event in events:
+            json.dumps(event, allow_nan=False)  # strictly serialisable
+        path = tmp_path / "events.jsonl"
+        with JsonlEventSink(path) as sink:
+            for event in events:
+                sink.emit(event)
+        assert load_events(path, strict=True) == events
 
 
 class TestSinks:
@@ -192,42 +273,36 @@ class TestSinks:
         with pytest.raises(FileNotFoundError, match="no such event log"):
             load_events(tmp_path / "absent.jsonl")
 
-    def test_flush_every_buffers_until_threshold(self, tmp_path):
-        path = tmp_path / "buffered.jsonl"
-        sink = JsonlEventSink(path, flush_every=3)
-        sink.emit({"i": 0})
-        sink.emit({"i": 1})
-        # Two events buffered: a concurrent reader may see nothing yet.
-        assert len(load_events(path)) < 2
-        sink.emit({"i": 2})  # third event crosses the threshold
-        assert load_events(path) == [{"i": 0}, {"i": 1}, {"i": 2}]
+    def test_every_emit_reaches_the_file(self, tmp_path):
+        path = tmp_path / "open.jsonl"
+        sink = JsonlEventSink(path)
+        for i in range(3):
+            sink.emit({"i": i})
+            # A concurrent reader sees each event as soon as it is emitted.
+            assert load_events(path) == [{"i": j} for j in range(i + 1)]
         sink.close()
 
     def test_buffered_sink_flushes_on_close(self, tmp_path):
         path = tmp_path / "buffered.jsonl"
-        sink = JsonlEventSink(path, flush_every=100)
+        sink = JsonlEventSink(path)
         sink.emit({"i": 0})
         sink.close()
         assert load_events(path) == [{"i": 0}]
 
     def test_buffered_sink_flushes_on_context_exit(self, tmp_path):
         path = tmp_path / "buffered.jsonl"
-        with JsonlEventSink(path, flush_every=100) as sink:
+        with JsonlEventSink(path) as sink:
             sink.emit({"i": 0})
             sink.emit({"i": 1})
         assert load_events(path) == [{"i": 0}, {"i": 1}]
 
     def test_explicit_flush(self, tmp_path):
         path = tmp_path / "buffered.jsonl"
-        sink = JsonlEventSink(path, flush_every=100)
+        sink = JsonlEventSink(path)
         sink.emit({"i": 0})
         sink.flush()
         assert load_events(path) == [{"i": 0}]
         sink.close()
-
-    def test_flush_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="flush_every"):
-            JsonlEventSink(tmp_path / "x.jsonl", flush_every=0)
 
 
 def _campaign(model, dataset, rng=11, resume=True, **kwargs):
@@ -320,19 +395,30 @@ class TestObservedCampaign:
             profiles[resume] = render_json(report)
         assert profiles[True] == profiles[False]
 
-    def test_observe_true_builds_a_memory_tracer(self, trained_tiny_model):
+    def test_observe_true_is_rejected(self, trained_tiny_model, tmp_path,
+                                      monkeypatch):
         model, dataset, _ = trained_tiny_model
-        campaign = _campaign(model, dataset)
-        campaign.run(self.N, observe=True)
-        assert campaign.observer is not None
-        assert campaign.observer.observed_injections == self.N
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError, match="observe"):
+            _campaign(model, dataset).run(self.N, observe=True)
+        assert list(tmp_path.iterdir()) == []
+        assert not hasattr(_campaign(model, dataset), "observer")
 
-    def test_observe_path_writes_jsonl(self, trained_tiny_model, tmp_path):
+    def test_observe_path_writes_jsonl(self, trained_tiny_model, tmp_path,
+                                       monkeypatch):
         model, dataset, _ = trained_tiny_model
         log = tmp_path / "campaign.jsonl"
         campaign = _campaign(model, dataset)
+        closed = []
+        close = JsonlEventSink.close
+
+        def recording_close(sink):
+            closed.append(sink.path)
+            close(sink)
+
+        monkeypatch.setattr(JsonlEventSink, "close", recording_close)
         result = campaign.run(self.N, observe=log)
-        campaign.observer.close()
+        assert closed == [log]  # the run closes the tracer it built
         events = load_events(log)
         assert sum(e["type"] == "injection" for e in events) == self.N
         assert aggregate(events)["summary"]["corruptions"] == result.corruptions
@@ -349,16 +435,57 @@ class TestObservedCampaign:
         model, dataset, _ = trained_tiny_model
         campaign = _campaign(model, dataset, target="weight")
         with pytest.raises(ValueError, match="neuron campaign"):
-            campaign.run(self.N, observe=True)
+            campaign.run(self.N, observe=PropagationTracer())
 
-    def test_coerce_tracer_validates(self):
+    def test_coerce_tracer_validates(self, tmp_path):
         assert coerce_tracer(None) is None
-        assert coerce_tracer(False) is None
         tracer = PropagationTracer()
         assert coerce_tracer(tracer) is tracer
-        assert isinstance(coerce_tracer(True), PropagationTracer)
-        with pytest.raises(TypeError, match="observe"):
-            coerce_tracer(3.14)
+        built = coerce_tracer(tmp_path / "x.jsonl")
+        assert isinstance(built.sink, JsonlEventSink)
+        assert built.sink.path == tmp_path / "x.jsonl"
+        for bad in (True, False, 3.14):
+            with pytest.raises(TypeError, match="observe"):
+                coerce_tracer(bad)
+
+
+class TestInterruptedObservedRun:
+    """A gracefully interrupted run writes the events of every chunk it
+    folded; the journal resume appends the rest."""
+
+    N = 64
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="fork start method unavailable")),
+    ])
+    def test_interrupted_log_holds_the_folded_injections(self, tmp_path, workers):
+        def interrupt(done, total):
+            if done >= 24:
+                raise KeyboardInterrupt
+
+        log = tmp_path / "observe.jsonl"
+        journal = tmp_path / "run.journal"
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            _smoke_campaign().run(self.N, workers=workers, journal=journal,
+                                  observe=log, progress=interrupt)
+        partial = excinfo.value.partial
+        assert 24 <= partial["completed_injections"] < self.N
+        events = load_events(log)
+        injections = [e["index"] for e in events if e["type"] == "injection"]
+        assert len(injections) == partial["completed_injections"]
+        assert injections == sorted(injections)  # plan order
+        assert [e["type"] for e in events].count("campaign_end") == 0
+
+        result = _smoke_campaign().run(self.N, workers=workers, journal=journal,
+                                       observe=log)
+        events = load_events(log)
+        indices = sorted(e["index"] for e in events if e["type"] == "injection")
+        assert indices == list(range(self.N))
+        assert aggregate(events)["summary"]["injections"] == self.N
+        assert aggregate(events)["summary"]["corruptions"] == result.corruptions
 
 
 class TestReport:

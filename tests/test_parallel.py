@@ -32,6 +32,7 @@ from repro.data import SyntheticClassification
 from repro.observe import PropagationTracer, aggregate, load_events
 from repro.profile import Profiler, campaign_spans, chrome_trace_events
 from repro.scenario import sample_resident_faults
+from repro.telemetry import TelemetryBus
 
 from .test_resume import REGISTRY
 
@@ -179,6 +180,24 @@ class TestParallelTelemetry:
             events[workers] = _strip_timing(tracer.events)
         assert events[2] == events[1]
 
+    def test_clean_captures_reach_the_bus_as_the_same_envelopes(
+            self, trained_tiny_model):
+        # With resume off every chunk runs one clean capture forward; inline
+        # or on a worker, each reaches the run's bus as one envelope.
+        model, dataset, _ = trained_tiny_model
+        captures, footers = {}, {}
+        for workers in (1, 2):
+            tracer = PropagationTracer()
+            bus = TelemetryBus()
+            sub = bus.subscribe(maxlen=100_000)
+            _campaign(model, dataset, resume=False).run(
+                self.N, observe=tracer, workers=workers, telemetry=bus)
+            captures[workers] = [env["data"] for env in sub.drain()
+                                 if (env["source"], env["kind"]) == ("observe", "captures")]
+            footers[workers] = tracer.events[-1]["clean_captures"]
+        assert captures[1] == captures[2] == [1] * footers[1]
+        assert footers[2] == footers[1] > 0
+
     def test_observe_jsonl_shards_merge_and_vanish(self, trained_tiny_model,
                                                    tmp_path):
         model, dataset, _ = trained_tiny_model
@@ -187,7 +206,6 @@ class TestParallelTelemetry:
             log = tmp_path / f"campaign_w{workers}.jsonl"
             campaign = _campaign(model, dataset)
             result = campaign.run(self.N, observe=log, workers=workers)
-            campaign.observer.close()
             logs[workers] = _strip_timing(load_events(log))
             report = aggregate(load_events(log))
             assert report["summary"]["corruptions"] == result.corruptions
@@ -202,7 +220,6 @@ class TestParallelTelemetry:
         log = tmp_path / "ordered.jsonl"
         campaign = _campaign(model, dataset)
         campaign.run(self.N, observe=log, workers=2)
-        campaign.observer.close()
         events = load_events(log)
         assert events[0]["type"] == "campaign_start"
         assert events[-1]["type"] == "campaign_end"
@@ -273,22 +290,13 @@ class TestValidationAndFallback:
         assert result.injections == 8
         assert campaign.parallel_info is None
 
-    def test_executor_with_one_worker_uses_the_serial_path(
-            self, trained_tiny_model):
-        model, dataset, _ = trained_tiny_model
-        serial = _campaign(model, dataset).run(8)
-        campaign = _campaign(model, dataset)
-        result = ParallelCampaignExecutor(campaign, 1).run(8)
-        assert result.corruptions == serial.corruptions
-        assert campaign.parallel_info is None
-
     @needs_fork
     def test_weight_campaign_observe_rejected_before_forking(
             self, trained_tiny_model):
         model, dataset, _ = trained_tiny_model
         campaign = _campaign(model, dataset, target="weight")
         with pytest.raises(ValueError, match="neuron campaign"):
-            campaign.run(8, workers=2, observe=True)
+            campaign.run(8, workers=2, observe=PropagationTracer())
 
     def test_fork_unavailable_falls_back_to_serial(self, trained_tiny_model,
                                                    monkeypatch):

@@ -349,6 +349,23 @@ class TestResidentFaults:
         kinds = {event.get("type") for event in load_events(log)}
         assert "campaign_start" in kinds and "injection" in kinds
 
+    def test_observe_tracer_passes_through_unchanged(self, tmp_path, monkeypatch):
+        # Only an observe path gets per-point names; a tracer is handed to
+        # the point as it is, and nothing is written in its name.
+        from repro.observe import PropagationTracer
+
+        monkeypatch.chdir(tmp_path)
+        compiled = compile_scenario(load_scenario(scenario("transient", seed=5)))
+        tracer = PropagationTracer()
+        result = run_scenario(compiled, observe=tracer)
+        (point,) = result.points
+        assert point.injections == 24
+        assert tracer.observed_injections == point.injections
+        assert [e["type"] for e in tracer.events].count("campaign_end") == 1
+        with pytest.raises(TypeError, match="observe"):
+            run_scenario(compiled, observe=True)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampling:
     def _fi(self):

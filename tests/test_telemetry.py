@@ -32,6 +32,7 @@ import pytest
 from repro.campaign import InjectionCampaign
 from repro.cli import main
 from repro.core import SingleBitFlip, StuckAt
+from repro.observe import PropagationTracer
 from repro.profile.heartbeat import CampaignHeartbeat, ProgressMeter
 from repro.telemetry import (
     ENVELOPE_SCHEMA,
@@ -340,7 +341,7 @@ class TestScienceInvariance:
         streamed = _campaign(model, dataset)
         bus = TelemetryBus(recorder=FlightRecorder())
         sub = bus.subscribe(maxlen=100_000)
-        result = streamed.run(self.N, telemetry=bus, observe=True,
+        result = streamed.run(self.N, telemetry=bus, observe=PropagationTracer(),
                               progress=True)
 
         assert result.corruptions == base_result.corruptions
@@ -370,7 +371,7 @@ class TestScienceInvariance:
         bus = TelemetryBus(recorder=FlightRecorder())
         sub = bus.subscribe(maxlen=100_000)
         result = streamed.run(self.N, workers=4, telemetry=bus,
-                              journal=tmp_path / "j.jsonl", observe=True,
+                              journal=tmp_path / "j.jsonl", observe=PropagationTracer(),
                               progress=True)
 
         assert result.corruptions == base_result.corruptions
@@ -403,7 +404,7 @@ class TestScienceInvariance:
         streamed = _campaign(model, dataset)
         bus = TelemetryBus()
         tiny = bus.subscribe(maxlen=2)  # guaranteed overflow
-        result = streamed.run(self.N, telemetry=bus, observe=True)
+        result = streamed.run(self.N, telemetry=bus, observe=PropagationTracer())
         assert result.corruptions == base_result.corruptions
         assert np.array_equal(result.per_layer_corruptions,
                               base_result.per_layer_corruptions)
